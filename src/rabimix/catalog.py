@@ -16,6 +16,7 @@ is mediated by the Jaynes-Cummings terms alone.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -723,35 +724,13 @@ class VerifyReport:
 
 
 def _closed_form_params(entry: ProcessEntry, freqs: dict, g: float, theta: float):
-    """Keyword arguments for the entry's closed form."""
-    cf = entry.closed_form
-    if cf in ("two_photon_qubit",):
-        return dict(omega_a=freqs["a"], omega_q=freqs["q"], g=g, theta=theta)
-    if cf == "three_photon_qubit":
-        return dict(omega_a=freqs["a"], omega_q=freqs["q"], g=g)
-    if cf == "shg_two_mode":
-        return dict(omega_a=freqs["a"], omega_b=freqs["b"], omega_q=freqs["q"],
-                    g_a=g, g_b=g, theta=theta)
-    if cf == "thg_two_mode":
-        return dict(omega_a=freqs["a"], omega_b=freqs["b"], omega_q=freqs["q"],
-                    g_a=g, g_b=g)
-    if cf == "raman_stokes":
-        return dict(omega_a=freqs["a"], omega_b=freqs["b"], omega_q=freqs["q"],
-                    g_a=g, g_b=g, theta=theta)
-    if cf == "photon_two_qubits":
-        return dict(omega_q=freqs["q"], g=g, theta=theta)
-    if cf == "three_qubit_thg":
-        return dict(omega_a=freqs["a"], omega_q=freqs["q"], g=g)
-    if cf in ("hyper_raman_one_stokes", "hyper_raman_one_anti_stokes",
-              "hyper_raman_one_jc", "hyper_raman_two"):
-        return dict(omega_a=freqs["a"], omega_b=freqs["b"], omega_q=freqs["q"],
-                    g_a=g, g_b=g)
-    if cf == "kerr_dispersive":
-        return dict(omega_a=freqs["a"], omega_q=freqs["q"], g=g)
-    if cf == "parametric_coupling":
-        return dict(omega_a=freqs["a"], omega_b=freqs["b"], omega_q=freqs["q"],
-                    g_a=g, g_b=g, theta=theta)
-    raise DomainError(f"no parameter mapping for closed form {cf!r}")
+    """Keyword arguments for the entry's closed form, bound by parameter name:
+    ``omega_<symbol>`` from the frequencies, ``g``/``g_a``/``g_b`` from the
+    strength and ``theta`` from the mixing angle."""
+    values = {"g": g, "g_a": g, "g_b": g, "theta": theta}
+    values.update((f"omega_{s}", w) for s, w in freqs.items())
+    params = inspect.signature(closed_forms.REGISTRY[entry.closed_form]).parameters
+    return {name: values[name] for name in params}
 
 
 def verify_entry(

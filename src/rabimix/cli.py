@@ -14,15 +14,14 @@ rename), so an interrupted run never leaves a partial file behind.
 from __future__ import annotations
 
 import argparse
-import json
+import contextlib
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 from . import catalog as cat
 from .classical import Susceptibilities, Tone, polarization_spectrum, write_spectrum_csv
-from .config import RunConfig, apply_override, parse_config
+from .config import RunConfig, parse_config, section_defaults
 from .dynamics import EvolutionSpec, evolve, extract_oscillation, write_trace_csv
 from .errors import CapacityError, ConfigError, FlatTraceError, RabimixError
 from .hamiltonian import build_hamiltonian
@@ -33,46 +32,20 @@ from .spectra import SweepSpec, track_levels, write_sweep_csv
 ENV_PREFIX = "RABIMIX_"
 
 
-def _atomic_write(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".rabimix-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def _atomic_writer(write_fn, path: str) -> None:
-    """Run a path-taking writer against a temp file, then rename into place."""
+@contextlib.contextmanager
+def _atomic_path(path: str):
+    """Yield a temp path next to ``path``; rename it into place once the
+    body has written it, or remove it if the body fails."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".rabimix-", suffix=".tmp")
     os.close(fd)
     try:
-        write_fn(tmp)
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
-
-
-def _parallel_map(fn, items, threads: int):
-    """Order-preserving map, optionally over a thread pool. Results are
-    assembled by index, so the reduction is deterministic regardless of
-    completion order."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _env_overrides():
@@ -81,7 +54,8 @@ def _env_overrides():
         if not key.startswith(ENV_PREFIX):
             continue
         rest = key[len(ENV_PREFIX):]
-        if rest.upper() in ("THREADS",):
+        # RABIMIX_THREADS once set --threads; it is not a config path
+        if rest.upper() == "THREADS":
             continue
         out.append(rest.replace("__", ".") + "=" + value)
     return out
@@ -95,25 +69,22 @@ def _load_config(args) -> RunConfig:
             text = fh.read()
     except OSError as e:
         raise ConfigError(f"cannot read config {args.config!r}: {e.strerror}") from None
-    overrides = _env_overrides() + list(args.set or [])
-    if not overrides:
-        return parse_config(text)
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(
-            f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from None
-    for assignment in overrides:
-        apply_override(raw, assignment)
-    return parse_config(json.dumps(raw))
+    return parse_config(text, _env_overrides() + list(args.set or []))
+
+
+def _optional_section(args, name: str) -> dict:
+    """Section ``name`` of the config, at its defaults if there is no config
+    or the config has no such section."""
+    sections = _load_config(args).sections if args.config is not None else {}
+    return sections[name] if name in sections else section_defaults(name)
 
 
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        _atomic_write(path, text)
+        with _atomic_path(path) as tmp, open(tmp, "w", newline="") as fh:
+            fh.write(text)
         print(f"wrote {path}")
 
 
@@ -126,7 +97,7 @@ def cmd_geff(args) -> int:
     sec = config.section("geff")
     space, hint = interaction_for(config.system)
     result = effective_coupling(
-        space, hint, sec["initial"], sec["final"], order=sec.get("order")
+        space, hint, sec["initial"], sec["final"], order=sec["order"]
     )
     g = result.value
     lines = [
@@ -149,10 +120,9 @@ def cmd_geff(args) -> int:
 def cmd_spectrum(args) -> int:
     config = _load_config(args)
     sec = config.section("spectrum")
-    models = sec.get("models") or [config.system.model]
-    stem = args.output or sec.get("output", "spectrum")
-
-    def run_one(model):
+    models = sec["models"] or [config.system.model]
+    stem = args.output or sec["output"]
+    for model in models:
         sweep = SweepSpec(
             base=config.system.with_model(model),
             parameter=sec["parameter"],
@@ -163,10 +133,8 @@ def cmd_spectrum(args) -> int:
         )
         result = track_levels(sweep)
         path = f"{stem}_{model.value}.csv" if len(models) > 1 else f"{stem}.csv"
-        _atomic_writer(lambda tmp: write_sweep_csv(result, tmp), path)
-        return path
-
-    for path in _parallel_map(run_one, models, args.threads):
+        with _atomic_path(path) as tmp:
+            write_sweep_csv(result, tmp)
         print(f"wrote {path}")
     return 0
 
@@ -183,8 +151,9 @@ def cmd_evolve(args) -> int:
     space = build_space(config.system)
     h = build_hamiltonian(space)
     trace = evolve(space, h, spec)
-    path = args.output or sec.get("output", "trace.csv")
-    _atomic_writer(lambda tmp: write_trace_csv(trace, tmp), path)
+    path = args.output or sec["output"]
+    with _atomic_path(path) as tmp:
+        write_trace_csv(trace, tmp)
     print(f"wrote {path}")
     try:
         freq, pmax = extract_oscillation(trace)
@@ -196,17 +165,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    sec = {}
-    if args.config is not None:
-        config = _load_config(args)
-        sec = config.sections.get("catalog", {})
-    entries = cat.list_processes(
-        category=sec.get("category"),
-        table=sec.get("table"),
-        degenerate=sec.get("degenerate"),
-        model=sec.get("model"),
-        distinct_only=sec.get("distinct_only", False),
-    )
+    entries = cat.list_processes(**_optional_section(args, "catalog"))
     blocks = [cat.format_entry(e) for e in entries]
     text = "\n\n".join(blocks) + ("\n" if blocks else "")
     text += f"\ntotal: {len(entries)}\n"
@@ -219,32 +178,25 @@ def cmd_classical(args) -> int:
     sec = config.section("classical")
     tones = [Tone(t["amplitude"], t["frequency"]) for t in sec["tones"]]
     chi = Susceptibilities(
-        chi1=sec.get("chi1", 0.0),
-        chi2=sec.get("chi2", 0.0),
-        chi3=sec.get("chi3", 0.0),
-        epsilon0=sec.get("epsilon0", 1.0),
+        chi1=sec["chi1"], chi2=sec["chi2"], chi3=sec["chi3"], epsilon0=sec["epsilon0"]
     )
     components = polarization_spectrum(tones, chi)
-    path = args.output or sec.get("output")
+    path = args.output or sec["output"]
     if path is None:
         print("frequency,amplitude")
         for f, a in components:
             print(f"{float(f):.17g},{a:.17g}")
     else:
-        _atomic_writer(lambda tmp: write_spectrum_csv(components, tmp), path)
+        with _atomic_path(path) as tmp:
+            write_spectrum_csv(components, tmp)
         print(f"wrote {path}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    ids = list(args.process or [])
-    all_closed = args.all_closed_forms
-    if args.config is not None:
-        config = _load_config(args)
-        sec = config.sections.get("verify", {})
-        ids += sec.get("processes") or []
-        all_closed = all_closed or sec.get("all_closed_forms", False)
-    if all_closed:
+    sec = _optional_section(args, "verify")
+    ids = list(args.process or []) + (sec["processes"] or [])
+    if args.all_closed_forms or sec["all_closed_forms"]:
         ids += [
             e.id for e in cat.CATALOG
             if e.closed_form is not None and e.id not in ids
@@ -256,7 +208,7 @@ def cmd_verify(args) -> int:
         )
     entries = [cat.get_process(pid) for pid in ids]
 
-    reports = _parallel_map(cat.verify_entry, entries, args.threads)
+    reports = [cat.verify_entry(e) for e in entries]
     failures = 0
     lines = []
     for report in reports:
@@ -290,9 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--output", "-o", help="output file (default depends on command)")
         p.add_argument(
-            "--threads", type=int,
-            default=int(os.environ.get(ENV_PREFIX + "THREADS", "1")),
-            help="worker threads for independent work items (default 1)",
+            "--threads", type=int, help="accepted for compatibility; has no effect",
         )
         p.set_defaults(fn=fn)
         return p

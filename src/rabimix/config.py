@@ -1,16 +1,19 @@
 """Run-configuration parsing, validation and emission.
 
 Configs are JSON documents with a ``system`` section (modes, qubits,
-couplings, interaction model) and one optional section per command. Parsing
-validates the whole document and reports every violation with its field
-path, not just the first; syntax errors carry line and column.
+couplings, interaction model) and one optional section per command. Every
+field's checks, whether it is required and its default are declared once,
+in :data:`SCHEMA`; one walker derives the allowed keys, the error messages
+with their field paths and the filled-in defaults from it. Parsing reports
+every violation with its field path, not just the first; syntax errors
+carry line and column.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
+from typing import Any
 
 from .errors import ConfigError, RabimixError
 from .hilbert import BasisState
@@ -23,12 +26,11 @@ from .system import (
     default_n_max,
 )
 
-_SECTIONS = ("system", "geff", "spectrum", "evolve", "catalog", "classical", "verify")
-
 
 @dataclass
 class RunConfig:
-    """Validated configuration: the system plus per-command sections."""
+    """Validated configuration: the system plus per-command sections, each
+    with every field of its :data:`SCHEMA` entry, defaults filled in."""
 
     raw: dict
     system: SystemSpec | None
@@ -40,313 +42,289 @@ class RunConfig:
         return self.sections[name]
 
 
-class _Collector:
-    def __init__(self):
-        self.errors = []
+# Leaf checks take a JSON value and return the parsed value, or raise a
+# RabimixError whose message is reported under the field's path.
 
-    def add(self, path, message):
-        self.errors.append(f"{path}: {message}")
-
-    def raise_if_any(self):
-        if self.errors:
-            raise ConfigError(self.errors)
-
-
-def _check_keys(obj, path, allowed, errs):
-    for k in obj:
-        if k not in allowed:
-            errs.add(f"{path}.{k}", f"unknown key (allowed: {sorted(allowed)})")
-
-
-def _get_number(obj, path, key, errs, required=True, default=None, positive=False):
-    if key not in obj:
-        if required:
-            errs.add(f"{path}.{key}", "missing required field")
-        return default
-    v = obj[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        errs.add(f"{path}.{key}", f"expected a number, got {v!r}")
-        return default
-    if positive and not v > 0:
-        errs.add(f"{path}.{key}", f"must be > 0, got {v}")
-        return default
-    return float(v)
-
-
-def _get_int(obj, path, key, errs, required=True, default=None, minimum=None):
-    if key not in obj:
-        if required:
-            errs.add(f"{path}.{key}", "missing required field")
-        return default
-    v = obj[key]
-    if not isinstance(v, int) or isinstance(v, bool):
-        errs.add(f"{path}.{key}", f"expected an integer, got {v!r}")
-        return default
-    if minimum is not None and v < minimum:
-        errs.add(f"{path}.{key}", f"must be >= {minimum}, got {v}")
-        return default
-    return v
-
-
-def _get_str(obj, path, key, errs, required=True, default=None):
-    if key not in obj:
-        if required:
-            errs.add(f"{path}.{key}", "missing required field")
-        return default
-    v = obj[key]
+def _string(v):
     if not isinstance(v, str):
-        errs.add(f"{path}.{key}", f"expected a string, got {v!r}")
-        return default
+        raise ConfigError(f"expected a string, got {v!r}")
     return v
 
 
-def _parse_state(text, path, errs):
+def _boolean(v):
+    if not isinstance(v, bool):
+        raise ConfigError("expected true or false")
+    return v
+
+
+def _integer(minimum=None):
+    def check(v):
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ConfigError(f"expected an integer, got {v!r}")
+        if minimum is not None and v < minimum:
+            raise ConfigError(f"must be >= {minimum}, got {v}")
+        return v
+
+    return check
+
+
+def _number(positive=False, nonnegative=False):
+    def check(v):
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise ConfigError(f"expected a number, got {v!r}")
+        if positive and not v > 0:
+            raise ConfigError(f"must be > 0, got {v}")
+        try:
+            x = float(v)
+        except OverflowError:
+            raise ConfigError("number out of range") from None
+        if nonnegative and x < 0:
+            raise ConfigError(f"must be >= 0, got {x}")
+        return x
+
+    return check
+
+
+def _state(v):
+    return BasisState.parse(_string(v))
+
+
+def _category(v):
+    if _string(v) not in ("three-wave", "four-wave", "higher", "other"):
+        raise ConfigError(f"unknown category {v!r}")
+    return v
+
+
+def _process_ids(v):
+    if v is not None and not (isinstance(v, list) and all(isinstance(x, str) for x in v)):
+        raise ConfigError("expected a list of process ids")
+    return v
+
+
+@dataclass(frozen=True)
+class _Field:
+    """An object member: its node (a leaf check, a :class:`_List` or a nested
+    object), whether it must be present, and the value used when it is
+    absent or invalid."""
+
+    node: Any
+    required: bool = True
+    default: Any = None
+
+
+def _opt(node, default=None) -> _Field:
+    return _Field(node, required=False, default=default)
+
+
+@dataclass(frozen=True)
+class _List:
+    """A JSON list of ``item`` nodes with a length range."""
+
+    item: Any
+    what: str
+    min_len: int = 0
+    max_len: int | None = None
+
+    @property
+    def message(self) -> str:
+        if self.min_len > 1:
+            return f"expected a list of at least {self.min_len} {self.what}"
+        return f"expected a {'non-empty ' if self.min_len else ''}list of {self.what}"
+
+
+#: section -> field -> :class:`_Field`; objects are dicts, lists are
+#: :class:`_List`. System item fields are in the order of the positional
+#: arguments of the spec they build.
+SCHEMA = {
+    "system": {
+        "modes": _opt(_List({
+            "label": _Field(_string),
+            "frequency": _Field(_number(positive=True)),
+            "n_max": _opt(_integer(minimum=1)),  # default set from the sections' states
+        }, "modes"), ()),
+        "qubits": _opt(_List({
+            "label": _Field(_string),
+            "frequency": _Field(_number(positive=True)),
+        }, "qubits"), ()),
+        "couplings": _opt(_List({
+            "mode": _Field(_string),
+            "qubit": _Field(_string),
+            "strength": _Field(_number()),
+            "mixing_angle": _opt(_number(), 0.0),
+        }, "couplings"), ()),
+        "model": _opt(InteractionModel.parse, InteractionModel.RABI),
+    },
+    "geff": {
+        "initial": _Field(_state),
+        "final": _Field(_state),
+        "order": _opt(_integer(minimum=1)),
+    },
+    "spectrum": {
+        "parameter": _Field(_string),
+        "lo": _Field(_number()),
+        "hi": _Field(_number()),
+        "points": _Field(_integer(minimum=3)),
+        "tracked": _Field(_List(_state, "states", min_len=2)),
+        "models": _opt(_List(InteractionModel.parse, "model names")),
+        "output": _opt(_string, "spectrum"),
+    },
+    "evolve": {
+        "initial": _Field(_state),
+        "total_time": _Field(_number(positive=True)),
+        "samples": _Field(_integer(minimum=16)),
+        "targets": _Field(_List(_state, "states", min_len=1)),
+        "output": _opt(_string, "trace.csv"),
+    },
+    "catalog": {
+        "category": _opt(_category),
+        "table": _opt(_integer()),
+        "degenerate": _opt(_boolean),
+        "distinct_only": _opt(_boolean, False),
+        "model": _opt(InteractionModel.parse),
+    },
+    "classical": {
+        "tones": _Field(_List({
+            "amplitude": _Field(_number()),
+            "frequency": _Field(_number(nonnegative=True)),
+        }, "tones", min_len=1, max_len=3)),
+        "chi1": _opt(_number(), 0.0),
+        "chi2": _opt(_number(), 0.0),
+        "chi3": _opt(_number(), 0.0),
+        "epsilon0": _opt(_number(), 1.0),
+        "output": _opt(_string),
+    },
+    "verify": {
+        "processes": _opt(_process_ids),
+        "all_closed_forms": _opt(_boolean, False),
+    },
+}
+
+
+def _walk(node, value, path: str, errs: list):
+    """Validate ``value`` against a schema node and return it parsed, with
+    defaults filled in; return None after appending to ``errs`` if invalid."""
+    if isinstance(node, dict):
+        if not isinstance(value, dict):
+            errs.append(f"{path}: must be an object")
+            return None
+        errs.extend(
+            f"{path}.{k}: unknown key (allowed: {sorted(node)})" for k in value if k not in node
+        )
+        out = {}
+        for key, f in node.items():
+            v = None
+            if key in value:
+                v = _walk(f.node, value[key], f"{path}.{key}", errs)
+            elif f.required:
+                missing = f.node.message if isinstance(f.node, _List) else "missing required field"
+                errs.append(f"{path}.{key}: {missing}")
+            out[key] = f.default if v is None else v
+        return out
+    if isinstance(node, _List):
+        if not isinstance(value, list) or len(value) < node.min_len:
+            errs.append(f"{path}: {node.message}")
+            return None
+        if node.max_len is not None and len(value) > node.max_len:
+            errs.append(f"{path}: at most {node.max_len} {node.what} supported, got {len(value)}")
+        return [_walk(node.item, x, f"{path}[{k}]", errs) for k, x in enumerate(value)]
     try:
-        return BasisState.parse(text)
+        return node(value)
     except RabimixError as e:
-        errs.add(path, str(e))
+        errs.append(f"{path}: {e}")
         return None
 
 
-def _referenced_occupations(raw):
-    """Largest occupation mentioned per mode position, across all sections."""
+def section_defaults(name: str) -> dict:
+    """Section ``name`` as parsed from an empty object: every field at its default."""
+    return _walk(SCHEMA[name], {}, name, [])
+
+
+def _cross_field_errors(name: str, sec: dict | None, raw_sec) -> list:
+    """Rules that relate two fields of one section."""
+    if sec is None:
+        return []
+    if name == "spectrum" and None not in (sec["lo"], sec["hi"]) and not sec["lo"] < sec["hi"]:
+        return [f"spectrum.lo: must satisfy lo < hi, got [{sec['lo']}, {sec['hi']}]"]
+    # read raw, so that an invalid value is reported once, by its own check
+    if name == "verify" and raw_sec.get("processes") is None and not raw_sec.get("all_closed_forms"):
+        return ["verify: give either 'processes' or 'all_closed_forms': true"]
+    return []
+
+
+def _referenced_occupations(sections: dict) -> dict:
+    """Largest occupation per mode position over every state the sections name."""
     occ = {}
-    labels = []
-    for s in raw.get("system", {}).get("modes", []):
-        if isinstance(s, dict) and isinstance(s.get("label"), str):
-            labels.append(s["label"])
-    texts = []
-    for sec, keys in (("geff", ("initial", "final")), ("evolve", ("initial",))):
-        for k in keys:
-            v = raw.get(sec, {}).get(k)
-            if isinstance(v, str):
-                texts.append(v)
-    for v in raw.get("evolve", {}).get("targets", []) or []:
-        if isinstance(v, str):
-            texts.append(v)
-    for v in raw.get("spectrum", {}).get("tracked", []) or []:
-        if isinstance(v, str):
-            texts.append(v)
-    for t in texts:
-        try:
-            st = BasisState.parse(t)
-        except RabimixError:
-            continue
-        for k, n in enumerate(st.occupations):
-            occ[k] = max(occ.get(k, 0), n)
+    for sec in sections.values():
+        for value in (sec or {}).values():
+            for state in value if isinstance(value, list) else [value]:
+                if isinstance(state, BasisState):
+                    for k, n in enumerate(state.occupations):
+                        occ[k] = max(occ.get(k, 0), n)
     return occ
 
 
-def _parse_system(raw, errs) -> SystemSpec | None:
-    sec = raw.get("system")
-    if sec is None:
-        errs.add("system", "missing required section")
-        return None
-    if not isinstance(sec, dict):
-        errs.add("system", "must be an object")
-        return None
-    _check_keys(sec, "system", {"modes", "qubits", "couplings", "model"}, errs)
-    occ_hints = _referenced_occupations(raw)
-
-    modes = []
-    for k, m in enumerate(sec.get("modes", [])):
-        p = f"system.modes[{k}]"
-        if not isinstance(m, dict):
-            errs.add(p, "must be an object")
-            continue
-        _check_keys(m, p, {"label", "frequency", "n_max"}, errs)
-        label = _get_str(m, p, "label", errs)
-        freq = _get_number(m, p, "frequency", errs, positive=True)
-        n_max = _get_int(m, p, "n_max", errs, required=False, minimum=1)
-        if n_max is None:
-            n_max = default_n_max(occ_hints.get(k, 1))
-        if label is not None and freq is not None:
+def _build_system(sec: dict, occupations: dict, errs: list) -> SystemSpec | None:
+    """SystemSpec from a walked system section, built item by item so that a
+    spec's own error keeps its field path. None if any error is known."""
+    for k, mode in enumerate(sec["modes"]):
+        if mode is not None and mode["n_max"] is None:
+            mode["n_max"] = default_n_max(occupations.get(k, 1))
+    parts = []
+    for key, make in (("modes", ModeSpec), ("qubits", QubitSpec), ("couplings", CouplingSpec)):
+        specs = []
+        for k, item in enumerate(sec[key]):
+            if item is None or None in item.values():
+                continue  # the walk has reported it
             try:
-                modes.append(ModeSpec(label, freq, n_max))
+                specs.append(make(*item.values()))
             except ConfigError as e:
-                errs.add(p, str(e))
-
-    qubits = []
-    for k, q in enumerate(sec.get("qubits", [])):
-        p = f"system.qubits[{k}]"
-        if not isinstance(q, dict):
-            errs.add(p, "must be an object")
-            continue
-        _check_keys(q, p, {"label", "frequency"}, errs)
-        label = _get_str(q, p, "label", errs)
-        freq = _get_number(q, p, "frequency", errs, positive=True)
-        if label is not None and freq is not None:
-            try:
-                qubits.append(QubitSpec(label, freq))
-            except ConfigError as e:
-                errs.add(p, str(e))
-
-    couplings = []
-    for k, c in enumerate(sec.get("couplings", [])):
-        p = f"system.couplings[{k}]"
-        if not isinstance(c, dict):
-            errs.add(p, "must be an object")
-            continue
-        _check_keys(c, p, {"mode", "qubit", "strength", "mixing_angle"}, errs)
-        mode = _get_str(c, p, "mode", errs)
-        qubit = _get_str(c, p, "qubit", errs)
-        g = _get_number(c, p, "strength", errs)
-        theta = _get_number(c, p, "mixing_angle", errs, required=False, default=0.0)
-        if mode is not None and qubit is not None and g is not None:
-            try:
-                couplings.append(CouplingSpec(mode, qubit, g, theta))
-            except ConfigError as e:
-                errs.add(p, str(e))
-
-    model = sec.get("model", "rabi")
-    try:
-        model = InteractionModel.parse(model)
-    except ConfigError as e:
-        errs.add("system.model", str(e))
-        model = InteractionModel.RABI
-
-    if errs.errors:
+                errs.append(f"system.{key}[{k}]: {e}")
+        parts.append(tuple(specs))
+    if errs:
         return None
     try:
-        return SystemSpec(tuple(modes), tuple(qubits), tuple(couplings), model)
+        return SystemSpec(*parts, sec["model"])
     except ConfigError as e:
-        for m in e.messages:
-            errs.add("system", m)
+        errs.extend(f"system: {m}" for m in e.messages)
         return None
 
 
-def _validate_section(name, sec, errs):
-    if not isinstance(sec, dict):
-        errs.add(name, "must be an object")
-        return {}
-    out = dict(sec)
-    if name == "geff":
-        _check_keys(sec, name, {"initial", "final", "order"}, errs)
-        for key in ("initial", "final"):
-            t = _get_str(sec, name, key, errs)
-            if t is not None:
-                out[key] = _parse_state(t, f"{name}.{key}", errs)
-        _get_int(sec, name, "order", errs, required=False, minimum=1)
-    elif name == "spectrum":
-        _check_keys(sec, name, {"parameter", "lo", "hi", "points", "tracked",
-                                "models", "output"}, errs)
-        _get_str(sec, name, "parameter", errs)
-        lo = _get_number(sec, name, "lo", errs)
-        hi = _get_number(sec, name, "hi", errs)
-        if lo is not None and hi is not None and not lo < hi:
-            errs.add(f"{name}.lo", f"must satisfy lo < hi, got [{lo}, {hi}]")
-        _get_int(sec, name, "points", errs, minimum=3)
-        tracked = sec.get("tracked")
-        if not isinstance(tracked, list) or len(tracked) < 2:
-            errs.add(f"{name}.tracked", "expected a list of at least 2 states")
-        else:
-            out["tracked"] = [
-                _parse_state(t, f"{name}.tracked[{k}]", errs) for k, t in enumerate(tracked)
-            ]
-        models = sec.get("models")
-        if models is not None:
-            if not isinstance(models, list):
-                errs.add(f"{name}.models", "expected a list of model names")
-            else:
-                parsed = []
-                for k, m in enumerate(models):
-                    try:
-                        parsed.append(InteractionModel.parse(m))
-                    except ConfigError as e:
-                        errs.add(f"{name}.models[{k}]", str(e))
-                out["models"] = parsed
-        _get_str(sec, name, "output", errs, required=False, default="spectrum")
-    elif name == "evolve":
-        _check_keys(sec, name, {"initial", "total_time", "samples", "targets", "output"}, errs)
-        t = _get_str(sec, name, "initial", errs)
-        if t is not None:
-            out["initial"] = _parse_state(t, f"{name}.initial", errs)
-        _get_number(sec, name, "total_time", errs, positive=True)
-        _get_int(sec, name, "samples", errs, minimum=16)
-        targets = sec.get("targets")
-        if not isinstance(targets, list) or not targets:
-            errs.add(f"{name}.targets", "expected a non-empty list of states")
-        else:
-            out["targets"] = [
-                _parse_state(x, f"{name}.targets[{k}]", errs) for k, x in enumerate(targets)
-            ]
-        _get_str(sec, name, "output", errs, required=False)
-    elif name == "catalog":
-        _check_keys(sec, name, {"category", "table", "degenerate", "model",
-                                "distinct_only"}, errs)
-        cat = _get_str(sec, name, "category", errs, required=False)
-        if cat is not None and cat not in ("three-wave", "four-wave", "higher", "other"):
-            errs.add(f"{name}.category", f"unknown category {cat!r}")
-        _get_int(sec, name, "table", errs, required=False)
-        for key in ("degenerate", "distinct_only"):
-            if key in sec and not isinstance(sec[key], bool):
-                errs.add(f"{name}.{key}", "expected true or false")
-        if "model" in sec:
-            try:
-                InteractionModel.parse(sec["model"])
-            except ConfigError as e:
-                errs.add(f"{name}.model", str(e))
-    elif name == "classical":
-        _check_keys(sec, name, {"tones", "chi1", "chi2", "chi3", "epsilon0", "output"}, errs)
-        tones = sec.get("tones")
-        if not isinstance(tones, list) or not tones:
-            errs.add(f"{name}.tones", "expected a non-empty list of tones")
-        else:
-            if len(tones) > 3:
-                errs.add(f"{name}.tones", f"at most 3 tones supported, got {len(tones)}")
-            for k, tone in enumerate(tones):
-                p = f"{name}.tones[{k}]"
-                if not isinstance(tone, dict):
-                    errs.add(p, "must be an object")
-                    continue
-                _check_keys(tone, p, {"amplitude", "frequency"}, errs)
-                _get_number(tone, p, "amplitude", errs)
-                f = _get_number(tone, p, "frequency", errs)
-                if f is not None and f < 0:
-                    errs.add(f"{p}.frequency", f"must be >= 0, got {f}")
-        for key in ("chi1", "chi2", "chi3", "epsilon0"):
-            _get_number(sec, name, key, errs, required=False, default=0.0)
-        _get_str(sec, name, "output", errs, required=False)
-    elif name == "verify":
-        _check_keys(sec, name, {"processes", "all_closed_forms"}, errs)
-        procs = sec.get("processes")
-        if procs is not None and (
-            not isinstance(procs, list) or not all(isinstance(x, str) for x in procs)
-        ):
-            errs.add(f"{name}.processes", "expected a list of process ids")
-        if "all_closed_forms" in sec and not isinstance(sec["all_closed_forms"], bool):
-            errs.add(f"{name}.all_closed_forms", "expected true or false")
-        if procs is None and not sec.get("all_closed_forms"):
-            errs.add(name, "give either 'processes' or 'all_closed_forms': true")
-    return out
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON run configuration."""
+def parse_config(text: str, overrides=()) -> RunConfig:
+    """Parse and validate a JSON run configuration, after applying each
+    ``path=value`` override in turn (see :func:`apply_override`)."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(
             f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from None
+    for assignment in overrides:
+        apply_override(raw, assignment)
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be an object")
 
-    errs = _Collector()
-    for k in raw:
-        if k not in _SECTIONS:
-            errs.add(k, f"unknown section (allowed: {list(_SECTIONS)})")
+    errs = [f"{k}: unknown section (allowed: {list(SCHEMA)})" for k in raw if k not in SCHEMA]
+    # The command sections are walked first, because the states they name set
+    # the default n_max, but their errors are reported after the system's.
+    section_errs = []
+    sections = {}
+    for name in SCHEMA:
+        if name != "system" and name in raw:
+            sections[name] = _walk(SCHEMA[name], raw[name], name, section_errs)
+            section_errs += _cross_field_errors(name, sections[name], raw[name])
 
     # a system section is required for the computational commands but not for
     # purely tabular ones (catalog, classical)
-    needs_system = any(k in raw for k in ("geff", "spectrum", "evolve")) or "system" in raw
-    system = _parse_system(raw, errs) if needs_system else None
-
-    sections = {}
-    for name in _SECTIONS[1:]:
-        if name in raw:
-            sections[name] = _validate_section(name, raw[name], errs)
-    errs.raise_if_any()
+    system = None
+    if "system" in raw:
+        sec = _walk(SCHEMA["system"], raw["system"], "system", errs)
+        if sec is not None:
+            system = _build_system(sec, _referenced_occupations(sections), errs)
+    elif any(k in raw for k in ("geff", "spectrum", "evolve")):
+        errs.append("system: missing required section")
+    errs += section_errs
+    if errs:
+        raise ConfigError(errs)
     return RunConfig(raw=raw, system=system, sections=sections)
 
 

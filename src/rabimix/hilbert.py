@@ -163,7 +163,3 @@ class HilbertSpace:
 def build_space(spec: SystemSpec) -> HilbertSpace:
     """Construct the indexed truncated product space for ``spec``."""
     return HilbertSpace(spec)
-
-
-def bare_energy(space: HilbertSpace, state: BasisState) -> float:
-    return space.bare_energy(state)

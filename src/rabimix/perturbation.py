@@ -180,7 +180,6 @@ def enumerate_paths(
                         )
                     )
             return
-        any_continuation = False
         for k, v in zip(nbr, vals):
             k = int(k)
             if k == i or k == f:
@@ -188,7 +187,6 @@ def enumerate_paths(
             if abs(energies[k] - e_i) < degeneracy_tol:
                 blocked_degenerate.append(k)
                 continue
-            any_continuation = True
             dfs(
                 k,
                 steps_left - 1,
@@ -196,10 +194,6 @@ def enumerate_paths(
                 amps + [complex(v)],
                 denoms + [float(e_i - energies[k])],
             )
-        if not any_continuation and blocked_degenerate:
-            # dead end caused purely by the degeneracy exclusion is reported
-            # after the full search if no path survives
-            pass
 
     dfs(i, n, [i], [], [])
     if not paths and blocked_degenerate:

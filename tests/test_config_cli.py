@@ -236,3 +236,28 @@ def test_env_override_applies(tmp_path, monkeypatch, capsys):
     assert main(["geff", "-c", cfg]) == 1
     # an explicit flag wins over the environment
     assert main(["geff", "-c", cfg, "--set", "system.model=generalized_rabi"]) == 0
+
+
+WITH_ALL_SECTIONS = {
+    **VALID,
+    "evolve": {"initial": "0,2,g", "total_time": 10.0, "samples": 16, "targets": ["1,0,g"]},
+    "spectrum": {"parameter": "mode:a", "lo": 1.9, "hi": 2.1, "points": 5,
+                 "tracked": ["0,2,g", "1,0,g"]},
+}
+
+
+@pytest.mark.parametrize("path, value, field_path", [
+    ("geff", [1], "geff"),
+    ("system.modes", 5, "system.modes"),
+    ("evolve.targets", 5, "evolve.targets"),
+    ("spectrum.tracked", [1, 2], "spectrum.tracked[0]"),
+    ("system.qubits", [{"label": "q", "frequency": 10**400}], "system.qubits[0].frequency"),
+])
+def test_malformed_shapes_are_config_errors(tmp_path, capsys, path, value, field_path):
+    payload = json.loads(json.dumps(WITH_ALL_SECTIONS))
+    apply_override(payload, f"{path}={json.dumps(value)}")
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(payload))
+    assert any(m.startswith(field_path + ":") for m in err.value.messages)
+    assert main(["geff", "-c", write_config(tmp_path, payload)]) == 2
+    assert f"config error: {field_path}:" in capsys.readouterr().err
