@@ -1,12 +1,31 @@
 """Unitary time evolution and oscillation-frequency extraction.
 
-Propagation uses the spectral decomposition e^{-iHt} = V e^{-i Lambda t} V^H,
-which is exact up to the eigensolve tolerance and free of time-step error.
-System sizes here are small enough that this is also the fastest option.
+Propagation uses the spectral decomposition e^{-iHt} = V e^{-i Lambda t} V^T
+of the real symmetric H, which is exact up to the eigensolve tolerance and
+free of time-step error. Only what a trace reports is computed, never the
+full state: the amplitude of each target f at sample k is
+
+    A_f(t_k) = sum_j V[f, j] V[i, j] e^{-i lambda_j k dt}.
+
+With B = ceil(sqrt(samples)) and k = a B + b the phase splits into an outer
+factor e^{-i lambda_j a B dt} and an inner one e^{-i lambda_j b dt}, so one
+target costs a (samples/B x dim) @ (dim x B) product and the run needs
+2 sqrt(samples) dim complex exponentials instead of samples dim. Memory is
+of order sqrt(samples) dim + dim^2. Splitting the phase adds a rounding
+error of order |lambda| t eps to it, the same order as forming lambda t.
+
+The evolution is unitary, so the norm and the energy are constants of the
+eigenbasis amplitudes psi0 = V^T e_i: the ``norm`` column is ||psi0|| and
+``energies`` is sum_j psi0_j^2 lambda_j. A norm that misses 1 by more than
+:data:`~rabimix.spectra.NORM_TOL` means the eigenpairs do not span the initial
+state (above :data:`~rabimix.spectra.DENSE_CAP` only the lowest few are
+computed), and :func:`evolve` raises :class:`~rabimix.errors.CapacityError`
+instead of returning a truncated trace.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +33,7 @@ import numpy as np
 from .errors import ConfigError, FlatTraceError
 from .hamiltonian import HermitianOperator
 from .hilbert import BasisState, HilbertSpace
-from .spectra import eigensystem
+from .spectra import captured_norms, eigensystem
 
 #: Peak-to-peak population variation below which a trace counts as flat.
 FLAT_TOL = 1e-6
@@ -57,20 +76,27 @@ class PopulationTrace:
 
 
 def evolve(space: HilbertSpace, h: HermitianOperator, spec: EvolutionSpec) -> PopulationTrace:
-    """Evolve the bare initial state under H and sample target populations."""
+    """Evolve the bare initial state under H and sample target populations.
+
+    Raises :class:`~rabimix.errors.CapacityError` when the eigenpairs do not
+    span the initial state to :data:`~rabimix.spectra.NORM_TOL`.
+    """
     vals, vecs = eigensystem(h)
-    psi0 = vecs.conj().T @ space.basis_vector(spec.initial)  # eigenbasis amplitudes
-    times = np.linspace(0.0, spec.total_time, spec.samples)
-    phases = np.exp(-1j * np.outer(times, vals))  # (samples, dim)
-    amps = phases * psi0  # eigenbasis amplitudes at each time
-    states = amps @ vecs.T  # back to the bare basis: psi(t) = V (phases * psi0)
+    i = space.index(spec.initial)
+    norm = captured_norms(h, vecs, [i])[0]
+    psi0 = vecs[i]  # eigenbasis amplitudes <j|i>
+    n = spec.samples
+    times = np.linspace(0.0, spec.total_time, n)
+    block = math.isqrt(n - 1) + 1  # ceil(sqrt(n)); sample k = a * block + b
+    inner = np.exp(-1j * np.outer(times[:block], vals))  # (block, dim), b dt
+    outer = np.exp(-1j * np.outer(times[::block], vals))  # (ceil(n / block), dim), a block dt
 
     populations = {}
     for f in spec.targets:
-        k = space.index(f)
-        populations[f] = np.abs(states[:, k]) ** 2
-    norms = np.linalg.norm(states, axis=1)
-    energies = np.real(np.sum((np.abs(amps) ** 2) * vals, axis=1))
+        amp = (outer * (vecs[space.index(f)] * psi0)) @ inner.T
+        populations[f] = np.abs(amp.ravel()[:n]) ** 2
+    norms = np.full(n, norm)
+    energies = np.full(n, float(psi0**2 @ vals))
     return PopulationTrace(spec, times, populations, norms, energies)
 
 
@@ -122,9 +148,7 @@ def write_trace_csv(trace: PopulationTrace, path, target: BasisState | None = No
     """Emit ``t,P_f,norm`` per sample at 17 significant digits."""
     if target is None:
         target = trace.spec.targets[0]
-    p = trace.population(target)
-    lines = ["t,P_f,norm"]
-    for t, pf, n in zip(trace.times, p, trace.norms):
-        lines.append(f"{t:.17g},{pf:.17g},{n:.17g}")
+    rows = zip(trace.times.tolist(), trace.population(target).tolist(), trace.norms.tolist())
+    lines = ["t,P_f,norm", *map("%.17g,%.17g,%.17g".__mod__, rows)]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

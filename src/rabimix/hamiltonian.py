@@ -23,12 +23,15 @@ from .system import CouplingSpec, InteractionModel
 class HermitianOperator:
     """Sparse Hermitian matrix tied to the Hilbert space it acts on.
 
-    Entries are stored in canonical CSR form with duplicates summed at build
-    time, so equal operators compare equal entrywise.
+    Every amplitude the build functions emit is real, so the matrix is
+    stored as float64 and is exactly symmetric: row j and column j hold the
+    same entries in the same order. Entries are in canonical CSR form with
+    duplicates summed at build time, so equal operators compare equal
+    entrywise.
     """
 
     space: HilbertSpace
-    matrix: sp.csr_matrix  # complex128, canonical
+    matrix: sp.csr_matrix  # float64, symmetric, canonical
 
     @property
     def dimension(self) -> int:
@@ -67,7 +70,7 @@ class HermitianOperator:
 
 
 def _canonical(m) -> sp.csr_matrix:
-    m = sp.csr_matrix(m, dtype=np.complex128)
+    m = sp.csr_matrix(m, dtype=np.float64)
     m.sum_duplicates()
     m.eliminate_zeros()
     m.sort_indices()
@@ -76,7 +79,7 @@ def _canonical(m) -> sp.csr_matrix:
 
 def _from_triplets(space: HilbertSpace, rows, cols, vals) -> HermitianOperator:
     m = sp.coo_matrix(
-        (np.asarray(vals, dtype=np.complex128), (rows, cols)),
+        (np.asarray(vals, dtype=np.float64), (rows, cols)),
         shape=(space.dimension, space.dimension),
     )
     return HermitianOperator(space, _canonical(m))
@@ -84,7 +87,7 @@ def _from_triplets(space: HilbertSpace, rows, cols, vals) -> HermitianOperator:
 
 def _diagonal(space: HilbertSpace, values) -> HermitianOperator:
     return HermitianOperator(
-        space, _canonical(sp.diags(np.asarray(values, dtype=np.complex128)))
+        space, _canonical(sp.diags(np.asarray(values, dtype=np.float64)))
     )
 
 

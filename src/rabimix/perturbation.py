@@ -98,9 +98,10 @@ def _as_index(space: HilbertSpace, s) -> int:
 
 
 def _adjacency(h_int: HermitianOperator):
-    """column -> (row indices, values) of nonzero matrix elements."""
-    m = h_int.matrix.tocsc()
-    return m
+    """Hops out of j: row j of the CSR matrix, (indices, data) between
+    ``indptr[j]`` and ``indptr[j + 1]``. H is real symmetric, so row j holds
+    the amplitudes <k|V|j> of column j, in the same (ascending k) order."""
+    return h_int.matrix
 
 
 def shortest_order(

@@ -28,6 +28,12 @@ DENSE_CAP = 4096
 #: Two tracking candidates with overlaps this close are flagged as ambiguous.
 OVERLAP_AMBIGUITY = 1e-3
 
+#: Largest |norm - 1| of a bare state projected onto the computed
+#: eigenvectors. Dense eigenvectors are complete to rounding, O(dim eps);
+#: above DENSE_CAP only the lowest k eigenpairs exist, and a state they miss
+#: in part would give a silently wrong gap, level or trace.
+NORM_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -111,14 +117,13 @@ def apply_parameter(spec: SystemSpec, parameter: str, value: float) -> SystemSpe
 
 
 def eigensystem(h: HermitianOperator, k: int | None = None):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian
-    operator. Dense below :data:`DENSE_CAP`; lowest-k Krylov above, where
-    ``k`` must then be given (or defaults to 16).
+    """Eigenvalues (ascending) and real orthonormal eigenvectors of the real
+    symmetric operator. Dense up to :data:`DENSE_CAP`; lowest-k Krylov above,
+    where ``k`` must then be given (or defaults to 16).
     """
     dim = h.dimension
     if dim <= DENSE_CAP:
-        vals, vecs = scipy.linalg.eigh(h.to_dense())
-        return vals, vecs
+        return scipy.linalg.eigh(h.to_dense())
     if k is None:
         k = 16
     if k >= dim:
@@ -126,6 +131,25 @@ def eigensystem(h: HermitianOperator, k: int | None = None):
     vals, vecs = scipy.sparse.linalg.eigsh(h.matrix, k=k, which="SA")
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
+
+
+def captured_norms(h: HermitianOperator, vecs: np.ndarray, indices) -> np.ndarray:
+    """Norms ||V^T e_s|| of the bare states ``indices`` in the eigenvectors.
+
+    Raises :class:`CapacityError` when one differs from 1 by more than
+    :data:`NORM_TOL`, i.e. when the eigenpairs (the lowest k above
+    :data:`DENSE_CAP`) do not span that state.
+    """
+    norms = np.linalg.norm(vecs[indices, :], axis=1)
+    for s, n in zip(indices, norms):
+        if abs(n - 1.0) > NORM_TOL:
+            raise CapacityError(
+                f"the {vecs.shape[1]} eigenpairs of the dimension-{h.dimension} "
+                f"operator (dense solver only up to DENSE_CAP = {DENSE_CAP}) capture "
+                f"weight {n * n:.12g} of {h.space.state(s)}; "
+                f"|norm - 1| exceeds NORM_TOL = {NORM_TOL:g}"
+            )
+    return norms
 
 
 def _solver_k(sweep: SweepSpec) -> int:
@@ -151,9 +175,10 @@ def track_levels(sweep: SweepSpec) -> SweepResult:
         space = build_space(spec)
         h = build_hamiltonian(space)
         vals, vecs = eigensystem(h, k=_solver_k(sweep))
+        captured_norms(h, vecs, [space.index(s) for s in sweep.tracked])
         bare = np.stack([space.basis_vector(s) for s in sweep.tracked], axis=1)
         ref = bare if anchors is None else anchors
-        w = np.abs(vecs.conj().T @ ref) ** 2  # (n_eigs, n_tracked)
+        w = np.abs(vecs.T @ ref) ** 2  # (n_eigs, n_tracked)
         new_anchors = np.zeros((vecs.shape[0], nt))
         for t in range(nt):
             order = np.argsort(w[:, t])[::-1]
@@ -161,8 +186,8 @@ def track_levels(sweep: SweepSpec) -> SweepResult:
             if len(order) > 1 and w[order[0], t] - w[order[1], t] < OVERLAP_AMBIGUITY:
                 ambiguous[p, t] = True
             levels[p, t] = vals[best]
-            overlaps[p, t] = float(np.abs(vecs[:, best].conj() @ bare[:, t]) ** 2)
-            new_anchors[:, t] = np.real(vecs[:, best])
+            overlaps[p, t] = float(np.abs(vecs[:, best] @ bare[:, t]) ** 2)
+            new_anchors[:, t] = vecs[:, best]
         anchors = new_anchors
     return SweepResult(sweep, values, levels, overlaps, ambiguous)
 
@@ -173,8 +198,9 @@ def subspace_gap(spec: SystemSpec, a: BasisState, b: BasisState) -> float:
     space = build_space(spec)
     h = build_hamiltonian(space)
     vals, vecs = eigensystem(h, k=12)
-    bare = np.stack([space.basis_vector(a), space.basis_vector(b)], axis=1)
-    weight = (np.abs(vecs.conj().T @ bare) ** 2).sum(axis=1)
+    rows = [space.index(a), space.index(b)]
+    captured_norms(h, vecs, rows)
+    weight = (vecs[rows] ** 2).sum(axis=0)
     top2 = np.argsort(weight)[::-1][:2]
     return float(abs(vals[top2[0]] - vals[top2[1]]))
 
@@ -285,7 +311,7 @@ def kerr_shift_numeric(spec: SystemSpec) -> float:
     energies = []
     for n in range(4):
         bare = space.basis_vector(BasisState((n,), ("g",)))
-        k = int(np.argmax(np.abs(vecs.conj().T @ bare) ** 2))
+        k = int(np.argmax(np.abs(vecs.T @ bare) ** 2))
         energies.append(vals[k])
     d1 = energies[2] - 2 * energies[1] + energies[0]
     d2 = energies[3] - 2 * energies[2] + energies[1]

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from rabimix import ConfigError, emit_config, parse_config
+from rabimix import ConfigError, emit_config, parse_config, spectra
 from rabimix.cli import main
 from rabimix.config import apply_override
 
@@ -195,6 +195,23 @@ def test_cli_evolve_writes_trace(tmp_path, capsys):
     lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert lines[0] == "t,P_f,norm"
     assert len(lines) == 257
+
+
+def test_cli_evolve_above_dense_cap_exit_3(tmp_path, capsys, monkeypatch):
+    """A state the lowest eigenpairs do not span is an error, not a trace."""
+    monkeypatch.setattr(spectra, "DENSE_CAP", 64)
+    payload = json.loads(json.dumps(VALID))
+    for mode in payload["system"]["modes"]:
+        mode["n_max"] = 6  # dim 98
+    payload["evolve"] = {
+        "initial": "0,2,g", "total_time": 100.0, "samples": 64,
+        "targets": ["1,0,g"], "output": str(tmp_path / "trace.csv"),
+    }
+    cfg = write_config(tmp_path, payload)
+    assert main(["evolve", "-c", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "capacity error" in err and "DENSE_CAP = 64" in err
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_cli_catalog_lists_and_counts(tmp_path, capsys):

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rabimix import (
     BasisState,
+    CapacityError,
     CouplingSpec,
     EvolutionSpec,
     FlatTraceError,
@@ -17,6 +19,7 @@ from rabimix import (
     evolve,
     extract_oscillation,
 )
+from rabimix import spectra
 from rabimix.dynamics import PopulationTrace, write_trace_csv
 
 
@@ -26,6 +29,19 @@ def jc_spec(g=0.05, w_a=1.0, w_q=1.0, n_max=6):
         qubits=(QubitSpec("q", w_q),),
         couplings=(CouplingSpec("a", "q", g),),
         model=InteractionModel.JC,
+    )
+
+
+def shg_spec(model):
+    """Two modes (w_a = 2 w_b) and one qubit at n_max 6: dim 98."""
+    return SystemSpec(
+        modes=(ModeSpec("a", 2.0, 6), ModeSpec("b", 1.0, 6)),
+        qubits=(QubitSpec("q", 1.6),),
+        couplings=(
+            CouplingSpec("a", "q", 0.05, math.pi / 6),
+            CouplingSpec("b", "q", 0.05, math.pi / 6),
+        ),
+        model=InteractionModel.parse(model),
     )
 
 
@@ -118,3 +134,53 @@ def test_spec_validation():
     with pytest.raises(ConfigError):
         EvolutionSpec(initial=BasisState.parse("0,g"), total_time=1.0,
                       samples=64, targets=())
+
+
+@pytest.mark.parametrize("samples", [16, 517, 4096])
+@pytest.mark.parametrize("model", ["jc", "rabi", "generalized_rabi"])
+def test_evolve_matches_full_state_reference(model, samples):
+    """Target-only amplitudes equal the columns of V e^{-i Lambda t} V^T e_i."""
+    initial, targets = "0,2,g", ("1,0,g", "0,1,e")
+    trace = run(shg_spec(model), initial, targets, total_time=300.0, samples=samples)
+    space = build_space(shg_spec(model))
+    h = build_hamiltonian(space)
+
+    dense = h.to_dense()
+    vals, vecs = scipy.linalg.eigh(dense)
+    i = space.index(BasisState.parse(initial))
+    psi0 = vecs.T @ space.basis_vector(BasisState.parse(initial))
+    times = np.linspace(0.0, 300.0, samples)
+    states = (np.exp(-1j * np.outer(times, vals)) * psi0) @ vecs.T
+    assert np.array_equal(trace.times, times)
+    for t in targets:
+        ref = np.abs(states[:, space.index(BasisState.parse(t))]) ** 2
+        assert np.max(np.abs(trace.population(BasisState.parse(t)) - ref)) < 1e-11
+    assert np.max(np.abs(trace.norms - np.linalg.norm(psi0))) < 1e-12
+    assert np.max(np.abs(trace.energies - dense[i, i])) < 1e-12
+
+
+def test_evolve_above_dense_cap_raises_instead_of_truncating(monkeypatch):
+    """Above DENSE_CAP only 16 eigenpairs exist; they miss part of |0,2,g>."""
+    monkeypatch.setattr(spectra, "DENSE_CAP", 64)
+    with pytest.raises(CapacityError, match=r"dimension-98 .*DENSE_CAP = 64.*capture weight 0\.99"):
+        run(shg_spec("generalized_rabi"), "0,2,g", ["1,0,g"], total_time=100.0)
+
+
+def test_evolve_above_dense_cap_keeps_a_fully_captured_state(monkeypatch):
+    """JC conserves excitations: the lowest 16 eigenpairs span |0,1,e> exactly."""
+    monkeypatch.setattr(spectra, "DENSE_CAP", 64)
+    trace = run(shg_spec("jc"), "0,1,e", ["1,0,g"], total_time=100.0)
+    assert np.max(np.abs(trace.norms - 1.0)) < spectra.NORM_TOL
+
+
+def test_trace_csv_bytes_match_fstring_form(tmp_path):
+    values = np.array([0.1, 1e-300, 5e-324, -0.0, 1.0, 12345678.901234567])
+    spec = EvolutionSpec(initial=BasisState.parse("0,g"), total_time=values[-1],
+                         samples=16, targets=(BasisState.parse("0,g"),))
+    pops, norms = values[::-1].copy(), np.roll(values, 2)
+    trace = PopulationTrace(spec, values, {BasisState.parse("0,g"): pops}, norms,
+                            np.zeros_like(values))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    lines = ["t,P_f,norm"] + [f"{t:.17g},{p:.17g},{n:.17g}" for t, p, n in zip(values, pops, norms)]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()

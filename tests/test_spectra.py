@@ -6,6 +6,7 @@ import pytest
 from rabimix import (
     BasisState,
     BracketingError,
+    CapacityError,
     CouplingSpec,
     InteractionModel,
     ModeSpec,
@@ -19,6 +20,7 @@ from rabimix import (
     kerr_shift_numeric,
     track_levels,
 )
+from rabimix import spectra
 from rabimix.spectra import (
     bare_resonance_parameter,
     convergence_check,
@@ -182,3 +184,47 @@ def test_sweep_csv_format(tmp_path):
     assert lines[0] == "param,level_1_g,level_0_e,overlap_1_g,overlap_0_e"
     assert len(lines) == 4
     assert all(len(line.split(",")) == 5 for line in lines[1:])
+
+
+def shg_spec(model="generalized_rabi"):
+    """Two modes (w_a = 2 w_b) and one qubit at n_max 6: dim 98."""
+    return SystemSpec(
+        modes=(ModeSpec("a", 2.0, 6), ModeSpec("b", 1.0, 6)),
+        qubits=(QubitSpec("q", 1.6),),
+        couplings=(
+            CouplingSpec("a", "q", 0.05, math.pi / 6),
+            CouplingSpec("b", "q", 0.05, math.pi / 6),
+        ),
+        model=InteractionModel.parse(model),
+    )
+
+
+def test_eigensystem_is_real():
+    vals, vecs = eigensystem(build_hamiltonian(build_space(shg_spec())))
+    assert vals.dtype == np.float64 and vecs.dtype == np.float64
+
+
+def test_captured_norms_tolerance_edge():
+    space = build_space(jc_spec())
+    h = build_hamiltonian(space)
+    _, vecs = eigensystem(h)
+    i = space.index(BasisState.parse("1,g"))
+    tol = spectra.NORM_TOL
+    assert abs(spectra.captured_norms(h, vecs * (1 + 0.5 * tol), [i])[0] - 1) < tol
+    with pytest.raises(CapacityError, match="NORM_TOL"):
+        spectra.captured_norms(h, vecs * (1 + 2 * tol), [i])
+
+
+def test_subspace_gap_above_dense_cap_raises_for_uncaptured_states(monkeypatch):
+    """The 12 lowest eigenpairs above DENSE_CAP do not hold |1,2,e>."""
+    monkeypatch.setattr(spectra, "DENSE_CAP", 64)
+    with pytest.raises(CapacityError, match=r"dimension-98 .*DENSE_CAP = 64"):
+        subspace_gap(shg_spec(), BasisState.parse("1,2,e"), BasisState.parse("0,4,e"))
+
+
+def test_track_levels_above_dense_cap_raises_for_uncaptured_states(monkeypatch):
+    monkeypatch.setattr(spectra, "DENSE_CAP", 64)
+    sweep = SweepSpec(base=shg_spec(), parameter="mode:a", lo=1.9, hi=2.1, points=3,
+                      tracked=(BasisState.parse("1,2,e"), BasisState.parse("0,4,e")))
+    with pytest.raises(CapacityError, match=r"dimension-98 .*DENSE_CAP = 64"):
+        track_levels(sweep)
