@@ -26,7 +26,7 @@ from .dynamics import EvolutionSpec, evolve, extract_oscillation, write_trace_cs
 from .errors import CapacityError, ConfigError, FlatTraceError, RabimixError
 from .hamiltonian import build_hamiltonian
 from .hilbert import build_space
-from .perturbation import effective_coupling, interaction_for
+from .perturbation import PATH_CAP, effective_coupling, interaction_for
 from .spectra import SweepSpec, track_levels, write_sweep_csv
 
 ENV_PREFIX = "RABIMIX_"
@@ -104,7 +104,7 @@ def cmd_geff(args) -> int:
         f"initial: {sec['initial'].label()}",
         f"final: {sec['final'].label()}",
         f"order: {result.order}",
-        f"paths: {len(result.paths)}",
+        f"paths: {result.path_count}",
         f"g_eff: {_fmt(g.real)} {'+' if g.imag >= 0 else '-'} {_fmt(abs(g.imag))}j",
         f"|g_eff|: {_fmt(abs(g))}",
         f"2|g_eff|: {_fmt(2 * abs(g))}",
@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("geff", cmd_geff, "path-sum effective coupling between two bare states")
     p.add_argument(
         "--explain", action="store_true",
-        help="list every contributing transition path",
+        help=f"list every contributing transition path (exit 3 above {PATH_CAP} paths)",
     )
     add("spectrum", cmd_spectrum, "sweep a parameter and track levels to CSV")
     add("evolve", cmd_evolve, "time-evolve a bare state and record populations")

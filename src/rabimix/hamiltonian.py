@@ -1,9 +1,9 @@
 """Sparse Hermitian operators on a truncated qubit-resonator space.
 
-Interaction matrices are assembled term by term from the ladder operators of
-each coupled mode and the raising/lowering/sigma_z operators of each coupled
-qubit, so that every stored entry appears together with its transpose partner
-and Hermiticity holds exactly (not just to rounding).
+Interaction matrices are assembled from the ladder operators of each coupled
+mode and the raising/lowering/sigma_z operators of each coupled qubit, with
+one amplitude per hop that its transpose partner shares, so Hermiticity holds
+exactly (not just to rounding).
 """
 
 from __future__ import annotations
@@ -24,10 +24,12 @@ class HermitianOperator:
     """Sparse Hermitian matrix tied to the Hilbert space it acts on.
 
     Every amplitude the build functions emit is real, so the matrix is
-    stored as float64 and is exactly symmetric: row j and column j hold the
-    same entries in the same order. Entries are in canonical CSR form with
-    duplicates summed at build time, so equal operators compare equal
-    entrywise.
+    stored as float64 and is exactly symmetric in pattern and value: row j
+    and column j hold the same entries in the same order (build_hint emits
+    one amplitude per hop, so no summation order can break the mirror).
+    Entries are in canonical CSR form (sorted, no duplicates, no stored
+    zeros), so equal operators compare equal entrywise, and the path sums,
+    which run in this CSR order, are deterministic.
     """
 
     space: HilbertSpace
@@ -120,62 +122,80 @@ def build_hint(
     * generalized Rabi: g (a + a^dag)(cos(theta) sigma_x + sin(theta) sigma_z)
 
     with sigma_z|e> = +|e>. Raising past n_max maps to zero (hard cutoff).
+
+    Couplings are first summed per hop kind: the transversal strengths per
+    (mode, qubit) pair, the longitudinal ones per mode as sum_q g_z,q
+    sigma_z^q (equal strengths combined as integer sigma_z counts, so equal
+    qubits in opposite states cancel exactly). Each matrix element then
+    comes from one product amplitude * sqrt(n), the same for a hop and its
+    reverse, which makes H exactly symmetric in pattern and value.
     """
     model = InteractionModel.parse(model)
-    rows, cols, vals = [], [], []
-    occ = space.occupation_table
-    qub = space.qubit_table
-    mode_weights = space._weights[: len(space.modes)]
-    qubit_weights = space._weights[len(space.modes):]
-
+    flips = {}  # (mode, qubit) -> summed transversal strength
+    sz_counts = {}  # (mode, g_z) -> integer sum of sigma_z over those qubits
     for c in couplings:
-        mk = space.mode_index(c.mode_label)
-        qk = space.qubit_index(c.qubit_label)
-        n_max = space.modes[mk].n_max
-        mw = mode_weights[mk]
-        qw = qubit_weights[qk]
         g = c.strength
         if g == 0.0:
             continue
+        mk = space.mode_index(c.mode_label)
+        qk = space.qubit_index(c.qubit_label)
         if model is InteractionModel.GENERALIZED_RABI:
             g_x = g * math.cos(c.mixing_angle)
             g_z = g * math.sin(c.mixing_angle)
         else:
             g_x, g_z = g, 0.0
-
-        n = occ[:, mk]
-        e = qub[:, qk]  # 0 = g, 1 = e
-
-        def add(mask, dcol_to_row, amp):
-            idx = np.nonzero(mask)[0]
-            if idx.size:
-                rows.extend(idx + dcol_to_row)
-                cols.extend(idx)
-                vals.extend(amp[idx])
-
-        sq_up = np.sqrt(n + 1.0)   # a^dag on column state
-        sq_dn = np.sqrt(np.maximum(n, 0))  # a on column state
-
-        # transversal part: (a + a^dag)(sigma+ + sigma-), with JC keeping
-        # only the excitation-conserving combinations
         if g_x != 0.0:
-            # a sigma+ : n -> n-1, g -> e
-            add((n >= 1) & (e == 0), -mw + qw, g_x * sq_dn)
-            # a^dag sigma- : n -> n+1, e -> g
-            add((n < n_max) & (e == 1), mw - qw, g_x * sq_up)
-            if model is not InteractionModel.JC:
-                # a sigma- : n -> n-1, e -> g
-                add((n >= 1) & (e == 1), -mw - qw, g_x * sq_dn)
-                # a^dag sigma+ : n -> n+1, g -> e
-                add((n < n_max) & (e == 0), mw + qw, g_x * sq_up)
-
-        # longitudinal part: (a + a^dag) sigma_z, qubit state unchanged
+            flips[mk, qk] = flips.get((mk, qk), 0.0) + g_x
         if g_z != 0.0:
-            sz = np.where(e == 1, 1.0, -1.0)
-            add(n >= 1, -mw, g_z * sq_dn * sz)
-            add(n < n_max, mw, g_z * sq_up * sz)
+            sz = 2 * space.qubit_table[:, qk].astype(np.int64) - 1
+            sz_counts[mk, g_z] = sz_counts.get((mk, g_z), 0) + sz
+    longitudinal = {}  # mode -> per-state amplitude sum_q g_z,q sigma_z^q
+    for (mk, g_z), count in sz_counts.items():
+        longitudinal[mk] = longitudinal.get(mk, 0.0) + g_z * count
 
-    return _from_triplets(space, rows, cols, vals)
+    rows, cols, vals = [], [], []
+
+    def add(mask, dcol_to_row, amp):
+        idx = np.nonzero(mask)[0]
+        rows.append(idx + dcol_to_row)
+        cols.append(idx)
+        vals.append(amp[idx])
+
+    nm = len(space.modes)
+    occ = space.occupation_table
+
+    def ladder(mk):
+        n = occ[:, mk]
+        # column-state n: a lowers with sqrt(n), a^dag raises with sqrt(n + 1)
+        return n, space.modes[mk].n_max, space._weights[mk], np.sqrt(n), np.sqrt(n + 1.0)
+
+    # transversal part: (a + a^dag)(sigma+ + sigma-), with JC keeping only
+    # the excitation-conserving combinations
+    for (mk, qk), g_x in flips.items():
+        n, n_max, mw, sq_dn, sq_up = ladder(mk)
+        e = space.qubit_table[:, qk]  # 0 = g, 1 = e
+        qw = space._weights[nm + qk]
+        # a sigma+ : n -> n-1, g -> e
+        add((n >= 1) & (e == 0), -mw + qw, g_x * sq_dn)
+        # a^dag sigma- : n -> n+1, e -> g
+        add((n < n_max) & (e == 1), mw - qw, g_x * sq_up)
+        if model is not InteractionModel.JC:
+            # a sigma- : n -> n-1, e -> g
+            add((n >= 1) & (e == 1), -mw - qw, g_x * sq_dn)
+            # a^dag sigma+ : n -> n+1, g -> e
+            add((n < n_max) & (e == 0), mw + qw, g_x * sq_up)
+
+    # longitudinal part: (a + a^dag) sigma_z, qubit states unchanged
+    for mk, z in longitudinal.items():
+        n, n_max, mw, sq_dn, sq_up = ladder(mk)
+        add(n >= 1, -mw, z * sq_dn)
+        add(n < n_max, mw, z * sq_up)
+
+    if not rows:
+        return _from_triplets(space, [], [], [])
+    return _from_triplets(
+        space, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    )
 
 
 def build_hamiltonian(space: HilbertSpace) -> HermitianOperator:

@@ -7,24 +7,32 @@ states of different energy. At the lowest contributing order n,
     g_eff = sum over n-step paths of (prod V) / (prod (E_i - E_j)),
 
 with V the interaction matrix elements and E_j the bare energies of the
-intermediates. Paths are enumerated by brute force over the nonzero matrix
-elements of the interaction, which at fixed order is exhaustive: the sum
-over all intermediates of the truncated space reproduces the analytic
-closed forms exactly.
+intermediates. The sum over all paths of the truncated space is the
+resolvent chain
+
+    g_eff = <f| V (R V)^(n-1) |i>,   R = diag(1 / (E_i - E_j)),
+
+with R zero at i, at f and at intermediates degenerate with i: n sparse
+matrix-vector products instead of one term per path, and exhaustive at
+fixed order, so it reproduces the analytic closed forms exactly. The same
+chain on the sparsity pattern with integer entries counts the paths.
+Individual paths are listed only on request (:func:`enumerate_paths`).
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     CapacityError,
     DegenerateIntermediateError,
+    DomainError,
     UnreachableError,
 )
 from .hamiltonian import HermitianOperator, build_hint
@@ -40,6 +48,11 @@ DEGENERACY_TOL = 1e-9
 RESONANCE_TOL = 1e-6
 
 DEFAULT_MAX_DEPTH = 8
+
+#: Most paths :func:`enumerate_paths` will list. The path sum and the path
+#: count never need the list; above this many paths listing them costs
+#: seconds to minutes and the listing is too long to read.
+PATH_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -78,15 +91,25 @@ class TransitionPath:
 
 @dataclass(frozen=True)
 class EffectiveCoupling:
-    """Path-sum result: value, perturbative order and per-path detail."""
+    """Path-sum result: value, perturbative order and number of paths.
+
+    ``paths`` lists the contributing paths; it is enumerated on first access
+    by :func:`enumerate_paths` (and so raises :class:`CapacityError` above
+    :data:`PATH_CAP`).
+    """
 
     value: complex
     order: int
-    paths: tuple[TransitionPath, ...]
+    path_count: int
+    #: (space, h_int, i, f, degeneracy_tol) the value was computed from
+    source: tuple = field(default=None, repr=False, compare=False)
 
-    @property
-    def path_count(self) -> int:
-        return len(self.paths)
+    @cached_property
+    def paths(self) -> tuple[TransitionPath, ...]:
+        space, h_int, i, f, degeneracy_tol = self.source
+        return enumerate_paths(
+            space, h_int, i, f, order=self.order, degeneracy_tol=degeneracy_tol
+        )
 
 
 def _as_index(space: HilbertSpace, s) -> int:
@@ -95,13 +118,6 @@ def _as_index(space: HilbertSpace, s) -> int:
     if isinstance(s, str):
         s = BasisState.parse(s)
     return space.index(s)
-
-
-def _adjacency(h_int: HermitianOperator):
-    """Hops out of j: row j of the CSR matrix, (indices, data) between
-    ``indptr[j]`` and ``indptr[j + 1]``. H is real symmetric, so row j holds
-    the amplitudes <k|V|j> of column j, in the same (ascending k) order."""
-    return h_int.matrix
 
 
 def shortest_order(
@@ -120,7 +136,7 @@ def shortest_order(
     f = _as_index(space, f)
     if i == f:
         raise UnreachableError("initial and final states coincide")
-    m = _adjacency(h_int)
+    m = h_int.matrix
     seen = {i: 0}
     queue = deque([i])
     while queue:
@@ -141,6 +157,105 @@ def shortest_order(
     )
 
 
+def _order(space, h_int, i: int, f: int, order: int | None) -> int:
+    """The given path order, or the shortest one connecting i to f."""
+    if order is None:
+        return shortest_order(space, h_int, i, f)
+    if int(order) < 1:
+        raise DomainError(f"path order must be >= 1, got {order}")
+    return int(order)
+
+
+def _exclusions(space: HilbertSpace, i: int, f: int, degeneracy_tol: float):
+    """Intermediates a path may visit, and the resolvent on them.
+
+    ``allowed[j]`` is False at i, at f and where |E_i - E_j| < degeneracy_tol;
+    ``r[j]`` is 1 / (E_i - E_j) where allowed and 0 elsewhere.
+    """
+    d = space.energies[i] - space.energies
+    allowed = np.abs(d) >= degeneracy_tol
+    allowed[[i, f]] = False
+    r = np.zeros_like(d)
+    np.divide(1.0, d, out=r, where=allowed)
+    return allowed, r
+
+
+def _pattern(m: sp.csr_matrix) -> sp.csr_matrix:
+    """The stored entries of ``m`` as int64 ones, in the same CSR layout."""
+    return sp.csr_matrix(
+        (np.ones(m.nnz, dtype=np.int64), m.indices, m.indptr), shape=m.shape
+    )
+
+
+def _walk_counts(pattern: sp.csr_matrix, allowed: np.ndarray, start: int, steps: int):
+    """``counts[t - 1][k]``: walks of t hops from ``start`` to k whose
+    intermediates are all allowed, for t = 1..steps. H is symmetric, so this
+    also counts the walks from k to ``start``.
+
+    Raises :class:`CapacityError` before a count could overflow int64.
+    """
+    limit = np.iinfo(np.int64).max // max(int(np.diff(pattern.indptr).max(initial=0)), 1)
+    x = np.zeros(pattern.shape[0], dtype=np.int64)
+    x[start] = 1
+    counts = []
+    for _ in range(steps):
+        if x.max() > limit:
+            raise CapacityError(f"the count of {steps}-hop paths would overflow int64")
+        x = pattern @ x
+        counts.append(x)
+        x = x * allowed
+    return counts
+
+
+def _check_blocked(space, pattern, allowed, i, f, n, degeneracy_tol) -> None:
+    """Raise :class:`DegenerateIntermediateError` when an order-n walk from i
+    meets an intermediate degenerate with i; call it once no allowed walk
+    reaches f. The state named is the first such intermediate in
+    depth-first order (hops taken in ascending basis index)."""
+    degenerate = ~allowed
+    degenerate[[i, f]] = False
+    # hits[s][j]: from j with s hops left, an intermediate hop lands on a
+    # degenerate state; the last hop (s = 1) lands on f, not an intermediate
+    hits = [np.zeros(len(allowed), dtype=bool)] * 2
+    for _ in range(2, n + 1):
+        hits.append(pattern @ (degenerate | (allowed & hits[-1])).astype(np.int64) > 0)
+    if not hits[n][i]:
+        return
+    j, s = i, n
+    while True:
+        for k in pattern.indices[pattern.indptr[j]: pattern.indptr[j + 1]].tolist():
+            if degenerate[k]:
+                raise DegenerateIntermediateError(
+                    f"all order-{n} paths from {space.state(i)} to {space.state(f)} are "
+                    f"blocked by an intermediate degenerate with the initial state: "
+                    f"{space.state(k)} (|E_i - E_j| < {degeneracy_tol})",
+                    state=space.state(k),
+                )
+            if allowed[k] and hits[s - 1][k]:
+                j, s = k, s - 1
+                break
+
+
+def _path_sum(space, h_int, i, f, n, degeneracy_tol) -> tuple[float, int]:
+    """(<f| V (R V)^(n-1) |i>, number of order-n paths i -> f).
+
+    Both chains are sparse matrix-vector products in the fixed CSR order of
+    ``h_int``, so the result is deterministic.
+    """
+    m = h_int.matrix
+    allowed, r = _exclusions(space, i, f, degeneracy_tol)
+    x = np.zeros(m.shape[0])
+    x[i] = 1.0
+    for _ in range(n - 1):
+        x = r * (m @ x)
+    value = float((m @ x)[f])
+    pattern = _pattern(m)
+    count = int(_walk_counts(pattern, allowed, i, n)[-1][f])
+    if count == 0:
+        _check_blocked(space, pattern, allowed, i, f, n, degeneracy_tol)
+    return value, count
+
+
 def enumerate_paths(
     space: HilbertSpace,
     h_int: HermitianOperator,
@@ -152,60 +267,47 @@ def enumerate_paths(
     """All order-step paths i -> ... -> f through nondegenerate intermediates.
 
     Intermediates may revisit states but may not be i or f themselves, and
-    must satisfy |E_i - E_j| >= degeneracy_tol. Paths are returned in
-    canonical lexicographic order of their state-index sequences, which
-    fixes the summation order bitwise.
+    must satisfy |E_i - E_j| >= degeneracy_tol. Paths come in lexicographic
+    order of their state-index sequences. The walk counts of
+    :func:`effective_coupling`'s count chain prune every branch that cannot
+    reach f, so the cost is proportional to the number of paths; more than
+    :data:`PATH_CAP` paths raise :class:`CapacityError` before any is built.
     """
     i = _as_index(space, i)
     f = _as_index(space, f)
-    n = shortest_order(space, h_int, i, f) if order is None else int(order)
-    m = _adjacency(h_int)
-    e_i = space.energies[i]
-    energies = space.energies
-
+    n = _order(space, h_int, i, f, order)
+    m = h_int.matrix
+    allowed, _ = _exclusions(space, i, f, degeneracy_tol)
+    pattern = _pattern(m)
+    to_f = _walk_counts(pattern, allowed, f, n)
+    count = int(to_f[-1][i])
+    if count == 0:
+        _check_blocked(space, pattern, allowed, i, f, n, degeneracy_tol)
+        return ()
+    if count > PATH_CAP:
+        raise CapacityError(
+            f"{count} order-{n} paths from {space.state(i)} to {space.state(f)} "
+            f"exceed PATH_CAP = {PATH_CAP}; effective_coupling gives their sum "
+            "and count without listing them"
+        )
+    # live[s][k]: k is an allowed intermediate with s + 1 hops left to f
+    live = [(allowed & (c > 0)).tolist() for c in to_f]
+    denominators = (space.energies[i] - space.energies).tolist()
+    indices, data, indptr = m.indices.tolist(), m.data.tolist(), m.indptr.tolist()
     paths: list[TransitionPath] = []
-    blocked_degenerate: list[int] = []
-
-    def neighbors(j):
-        lo, hi = m.indptr[j], m.indptr[j + 1]
-        return m.indices[lo:hi], m.data[lo:hi]
 
     def dfs(j, steps_left, states, amps, denoms):
-        nbr, vals = neighbors(j)
-        if steps_left == 1:
-            for k, v in zip(nbr, vals):
-                if int(k) == f:
-                    paths.append(
-                        TransitionPath(
-                            tuple(states) + (f,), tuple(amps) + (complex(v),), tuple(denoms)
-                        )
-                    )
-            return
-        for k, v in zip(nbr, vals):
-            k = int(k)
-            if k == i or k == f:
-                continue
-            if abs(energies[k] - e_i) < degeneracy_tol:
-                blocked_degenerate.append(k)
-                continue
-            dfs(
-                k,
-                steps_left - 1,
-                states + [k],
-                amps + [complex(v)],
-                denoms + [float(e_i - energies[k])],
-            )
+        # hops out of j: row j of the symmetric H holds <k|V|j> in ascending k
+        for p in range(indptr[j], indptr[j + 1]):
+            k = indices[p]
+            if steps_left == 1:
+                if k == f:
+                    paths.append(TransitionPath(states + (f,), amps + (complex(data[p]),), denoms))
+            elif live[steps_left - 2][k]:
+                dfs(k, steps_left - 1, states + (k,), amps + (complex(data[p]),),
+                    denoms + (denominators[k],))
 
-    dfs(i, n, [i], [], [])
-    if not paths and blocked_degenerate:
-        k = blocked_degenerate[0]
-        raise DegenerateIntermediateError(
-            f"all order-{n} paths from {space.state(i)} to {space.state(f)} are "
-            f"blocked by an intermediate degenerate with the initial state: "
-            f"{space.state(k)} (|E_i - E_j| < {degeneracy_tol})",
-            state=space.state(k),
-        )
-    paths.sort(key=lambda p: p.states)
+    dfs(i, n, (i,), (), ())
     return tuple(paths)
 
 
@@ -219,9 +321,11 @@ def effective_coupling(
 ) -> EffectiveCoupling:
     """Lowest-order path-sum effective coupling between bare states i and f.
 
-    Summation runs in canonical path order, so the result is bitwise
-    deterministic. A warning (not an error) is issued when the endpoint
-    energies differ by more than the resonance tolerance.
+    The value is the resolvent chain <f| V (R V)^(n-1) |i> and the path
+    count the same chain on the sparsity pattern, both summed in the fixed
+    CSR order of ``h_int``, so the result is deterministic. No path is
+    listed until ``.paths`` is read. A warning (not an error) is issued when
+    the endpoint energies differ by more than the resonance tolerance.
     """
     i = _as_index(space, i)
     f = _as_index(space, f)
@@ -232,12 +336,12 @@ def effective_coupling(
             "evaluated with the initial-state energy in the denominators",
             stacklevel=2,
         )
-    n = shortest_order(space, h_int, i, f) if order is None else int(order)
-    paths = enumerate_paths(space, h_int, i, f, order=n, degeneracy_tol=degeneracy_tol)
-    total = 0.0 + 0.0j
-    for p in paths:
-        total += p.contribution
-    return EffectiveCoupling(value=total, order=n, paths=paths)
+    n = _order(space, h_int, i, f, order)
+    value, count = _path_sum(space, h_int, i, f, n, degeneracy_tol)
+    return EffectiveCoupling(
+        value=complex(value), order=n, path_count=count,
+        source=(space, h_int, i, f, degeneracy_tol),
+    )
 
 
 def sigma_z_only_paths(
@@ -292,30 +396,20 @@ def diagonal_shift(
     Order 4:  sum_{jkl} V_ij V_jk V_kl V_li / (D_j D_k D_l)
               - E2 * sum_j |V_ij|^2 / D_j^2
     with all intermediates != i and D_j = E_i - E_j. Returns the correction
-    of the requested order only.
+    of the requested order only. The fourth-order sum is the resolvent chain
+    of :func:`effective_coupling` with f = i.
     """
     if order not in (2, 4):
         raise CapacityError("diagonal_shift supports orders 2 and 4")
     i = _as_index(space, state)
-    m = _adjacency(h_int)
-    e_i = space.energies[i]
-
-    nbr = m.indices[m.indptr[i]: m.indptr[i + 1]]
-    vals = m.data[m.indptr[i]: m.indptr[i + 1]]
-    keep = [k for k, j in enumerate(nbr) if int(j) != i and abs(space.energies[j] - e_i) >= degeneracy_tol]
-    nbr = [int(nbr[k]) for k in keep]
-    vals = [complex(vals[k]) for k in keep]
-    denoms = [e_i - space.energies[j] for j in nbr]
-
-    e2 = sum((abs(v) ** 2 / d for v, d in zip(vals, denoms)), 0.0)
+    m = h_int.matrix
+    _, r = _exclusions(space, i, i, degeneracy_tol)
+    v2 = m[i].toarray().ravel() ** 2  # |V_ij|^2, H real symmetric
+    e2 = float(np.sum(v2 * r))
     if order == 2:
-        return float(np.real(e2))
-
-    total = 0.0 + 0.0j
-    for p in enumerate_paths(space, h_int, i, i, order=4, degeneracy_tol=degeneracy_tol):
-        total += p.contribution
-    renorm = sum((abs(v) ** 2 / d**2 for v, d in zip(vals, denoms)), 0.0)
-    return float(np.real(total - e2 * renorm))
+        return e2
+    e4, _ = _path_sum(space, h_int, i, i, 4, degeneracy_tol)
+    return e4 - e2 * float(np.sum(v2 * r * r))
 
 
 def dispersive_kerr_pathsum(space: HilbertSpace, h_int: HermitianOperator) -> float:

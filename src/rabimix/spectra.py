@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 import scipy.sparse.linalg
 
 from .errors import BracketingError, CapacityError, ConfigError, DomainError
@@ -208,6 +207,7 @@ def subspace_gap(spec: SystemSpec, a: BasisState, b: BasisState) -> float:
 def bare_resonance_parameter(sweep: SweepSpec, a: BasisState, b: BasisState) -> float:
     """Parameter value where the bare energies of ``a`` and ``b`` coincide,
     found by bisection over the sweep range."""
+    import scipy.optimize  # deferred: it adds half again to `import rabimix`
 
     def de(v):
         space = build_space(sweep.spec_at(v))
@@ -233,9 +233,14 @@ def find_avoided_crossing(
     the perturbative prediction 2|g_eff|.
 
     A coarse scan over the sweep grid brackets the minimum; golden-section
-    refinement then pins the parameter to relative tolerance 1e-10. The
-    prediction is the path-sum g_eff evaluated at the bare-resonance point.
+    refinement then pins the parameter to about sqrt(eps) ~ 1e-8 relative,
+    not to the xtol of 1e-10 it is given: the gap is flat to second order at
+    its minimum, so parameters that close give gaps equal to rounding. The
+    gap value itself is accurate to rounding. The prediction is the
+    path-sum g_eff evaluated at the bare-resonance point.
     """
+    import scipy.optimize  # deferred: it adds half again to `import rabimix`
+
     values = sweep.values()
     gaps = np.array([subspace_gap(sweep.spec_at(v), level_a, level_b) for v in values])
     k = int(np.argmin(gaps))

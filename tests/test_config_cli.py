@@ -278,3 +278,27 @@ def test_malformed_shapes_are_config_errors(tmp_path, capsys, path, value, field
     assert any(m.startswith(field_path + ":") for m in err.value.messages)
     assert main(["geff", "-c", write_config(tmp_path, payload)]) == 2
     assert f"config error: {field_path}:" in capsys.readouterr().err
+
+
+def test_cli_geff_counts_paths_without_listing_them(tmp_path, capsys, monkeypatch):
+    from rabimix import perturbation
+
+    cfg = write_config(tmp_path, VALID)
+    monkeypatch.setattr(perturbation, "PATH_CAP", 0)
+    assert main(["geff", "-c", cfg]) == 0
+    assert "paths: 12" in capsys.readouterr().out
+
+
+def test_cli_geff_explain_path_cap_edge(tmp_path, capsys, monkeypatch):
+    from rabimix import perturbation
+
+    cfg = write_config(tmp_path, VALID)
+    out = tmp_path / "explain.txt"
+    monkeypatch.setattr(perturbation, "PATH_CAP", 12)
+    assert main(["geff", "-c", cfg, "--explain", "-o", str(out)]) == 0
+    assert out.read_text().count(" -> ") == 12 * 3  # 12 paths of 3 hops
+    out.unlink()
+    monkeypatch.setattr(perturbation, "PATH_CAP", 11)
+    assert main(["geff", "-c", cfg, "--explain", "-o", str(out)]) == 3
+    assert "capacity error: 12 order-3 paths" in capsys.readouterr().err
+    assert not out.exists()

@@ -186,3 +186,51 @@ def test_hermiticity_exact_for_random_systems(model, theta, g, n_max):
     space = build_space(make_spec(model, theta=theta, g=g, n_max=n_max))
     h = build_hamiltonian(space)
     assert h.hermiticity_defect() == 0.0
+
+
+def equal_qubits_spec(model, n_qubits=6, n_max=6, theta=math.pi / 6):
+    """One mode resonant with n_qubits photons of n_qubits equal qubits."""
+    qubits = tuple(QubitSpec(f"q{k}", 0.83) for k in range(n_qubits))
+    return SystemSpec(
+        modes=(ModeSpec("a", n_qubits * 0.83, n_max),),
+        qubits=qubits,
+        couplings=tuple(CouplingSpec("a", q.label, 0.05, theta) for q in qubits),
+        model=model,
+    )
+
+
+def assert_exactly_symmetric(h):
+    m = h.matrix
+    assert h.hermiticity_defect() == 0.0
+    assert (m != m.T).nnz == 0  # values, entry by entry
+    pattern = (m != 0).astype(np.int8)
+    assert (pattern != pattern.T).nnz == 0
+
+
+@pytest.mark.parametrize("model", list(InteractionModel))
+def test_hint_exactly_symmetric_with_six_equal_qubits(model):
+    """Summing the sigma_z terms of equal qubits once per mode gives every hop
+    one amplitude, shared with its reverse hop."""
+    space = build_space(equal_qubits_spec(model))
+    h = hint_for(space)
+    assert_exactly_symmetric(h)
+    # three excited and three ground qubits: the longitudinal terms cancel
+    # exactly, so the hop is not stored in either direction
+    lo, hi = BasisState.parse("2,e,e,e,g,g,g"), BasisState.parse("3,e,e,e,g,g,g")
+    assert h.element(hi, lo) == 0.0 and h.element(lo, hi) == 0.0
+
+
+def test_hint_exactly_symmetric_with_repeated_couplings():
+    """Several couplings on one mode-qubit pair are summed before the hop."""
+    spec = SystemSpec(
+        modes=(ModeSpec("a", 1.0, 5), ModeSpec("b", 1.3, 4)),
+        qubits=(QubitSpec("q", 0.9), QubitSpec("r", 0.9)),
+        couplings=tuple(CouplingSpec("a", "q", g, t) for g, t in ((0.1, 0.3), (0.07, 1.1), (0.03, -0.4)))
+        + (CouplingSpec("a", "r", 0.1, 0.3), CouplingSpec("b", "r", 0.05, 0.7)),
+        model=InteractionModel.GENERALIZED_RABI,
+    )
+    h = hint_for(build_space(spec))
+    assert_exactly_symmetric(h)
+    # <1,0,e,g|H|0,0,g,g>: a^dag sigma+ on qubit q, with the three strengths summed
+    gx = sum(g * math.cos(t) for g, t in ((0.1, 0.3), (0.07, 1.1), (0.03, -0.4)))
+    assert h.element(BasisState.parse("1,0,e,g"), BasisState.parse("0,0,g,g")).real == pytest.approx(gx, rel=1e-15)
