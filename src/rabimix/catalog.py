@@ -706,7 +706,7 @@ class VerifyReport:
     parity_consistent: bool
     reachable: bool | None
     weaker_unreachable: bool | None
-    g_eff: complex | None
+    g_eff: float | None
     closed_form_value: float | None
     relative_error: float | None
     messages: list = field(default_factory=list)
@@ -774,7 +774,7 @@ def verify_entry(
         ana = closed_forms.closed_form_geff(
             "kerr_dispersive", **_closed_form_params(entry, freqs, min(coupling, 0.02), 0.0)
         )
-        report.g_eff = complex(num)
+        report.g_eff = num
         report.closed_form_value = ana
         report.relative_error = abs(num - ana) / max(abs(ana), 1e-300)
         report.reachable = True
@@ -813,7 +813,7 @@ def verify_entry(
             entry.closed_form, **_closed_form_params(entry, freqs, coupling, mixing_angle)
         )
         report.closed_form_value = ana
-        num = ec.value.real
+        num = ec.value
         scale = max(abs(ana), abs(num))
         if scale < 1e-14:
             report.relative_error = 0.0

@@ -105,7 +105,7 @@ def cmd_geff(args) -> int:
         f"final: {sec['final'].label()}",
         f"order: {result.order}",
         f"paths: {result.path_count}",
-        f"g_eff: {_fmt(g.real)} {'+' if g.imag >= 0 else '-'} {_fmt(abs(g.imag))}j",
+        f"g_eff: {_fmt(g)} + 0j",  # H is real, so g_eff has no imaginary part
         f"|g_eff|: {_fmt(abs(g))}",
         f"2|g_eff|: {_fmt(2 * abs(g))}",
     ]

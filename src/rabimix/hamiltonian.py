@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,18 +40,25 @@ class HermitianOperator:
     def dimension(self) -> int:
         return self.space.dimension
 
-    def element(self, row, col) -> complex:
-        """<row|H|col> for basis states or integer indices."""
-        i = row if isinstance(row, (int, np.integer)) else self.space.index(row)
-        j = col if isinstance(col, (int, np.integer)) else self.space.index(col)
-        return complex(self.matrix[i, j])
+    def element(self, row, col) -> float:
+        """<row|H|col> for anything :meth:`HilbertSpace.index` accepts."""
+        return float(self.matrix[self.space.index(row), self.space.index(col)])
+
+    @cached_property
+    def pattern(self) -> sp.csr_matrix:
+        """The stored entries as int64 ones in the same CSR layout: the
+        adjacency that path counts and reachability walk over."""
+        m = self.matrix
+        return sp.csr_matrix(
+            (np.ones(m.nnz, dtype=np.int64), m.indices, m.indptr), shape=m.shape
+        )
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
     def hermiticity_defect(self) -> float:
-        """max |H - H^dag| over stored entries; exactly 0 for built operators."""
-        d = self.matrix - self.matrix.getH()
+        """max |H - H^T| over stored entries; exactly 0 for built operators."""
+        d = self.matrix - self.matrix.T
         return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
 
     def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
@@ -62,13 +70,13 @@ class HermitianOperator:
         return HermitianOperator(self.space, _canonical(self.matrix * factor))
 
     def dump_coo(self, path) -> None:
-        """Write sorted 'row col re im' lines for cross-tool diffing."""
+        """Write sorted 'row col re im' lines for cross-tool diffing; H is
+        real, so the im column is always 0."""
         coo = self.matrix.tocoo()
         order = np.lexsort((coo.col, coo.row))
         with open(path, "w") as fh:
             for k in order:
-                v = coo.data[k]
-                fh.write(f"{coo.row[k]} {coo.col[k]} {v.real:.17g} {v.imag:.17g}\n")
+                fh.write(f"{coo.row[k]} {coo.col[k]} {coo.data[k]:.17g} 0\n")
 
 
 def _canonical(m) -> sp.csr_matrix:

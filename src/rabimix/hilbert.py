@@ -83,7 +83,6 @@ class HilbertSpace:
                 f"(n_max {[m.n_max for m in self.modes]}) and {len(self.qubits)} qubit(s)"
             )
         self.dimension = dimension
-        self._radices = dims
         # place-value weights: first mode varies fastest
         weights = []
         w = 1
@@ -108,7 +107,16 @@ class HilbertSpace:
         )
         self.excitation_numbers = self.occupation_table.sum(axis=1) + self.qubit_table.sum(axis=1)
 
-    def index(self, state: BasisState) -> int:
+    def index(self, state) -> int:
+        """Basis index of a :class:`BasisState`, a ket label such as "1,0,g",
+        or an index itself; raises :class:`DomainError` for an index outside
+        [0, dim) or a state the space cannot hold."""
+        if isinstance(state, (int, np.integer)):
+            if not 0 <= state < self.dimension:
+                raise DomainError(f"basis index {state} outside [0, {self.dimension})")
+            return int(state)
+        if isinstance(state, str):
+            state = BasisState.parse(state)
         if len(state.occupations) != len(self.modes) or len(state.qubit_states) != len(self.qubits):
             raise DomainError(
                 f"state {state} does not match space with {len(self.modes)} mode(s) "

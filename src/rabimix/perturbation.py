@@ -15,14 +15,15 @@ resolvent chain
 with R zero at i, at f and at intermediates degenerate with i: n sparse
 matrix-vector products instead of one term per path, and exhaustive at
 fixed order, so it reproduces the analytic closed forms exactly. The same
-chain on the sparsity pattern with integer entries counts the paths.
-Individual paths are listed only on request (:func:`enumerate_paths`).
+chain on the sparsity pattern with integer entries counts the paths, and a
+walk over that pattern finds the lowest connecting order. Individual paths
+are listed only on request (:func:`enumerate_paths`).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -60,12 +61,12 @@ class TransitionPath:
     """One ordered chain i -> j_1 -> ... -> j_{n-1} -> f.
 
     ``states`` holds basis indices including the endpoints; ``amplitudes``
-    the n hop matrix elements; ``denominators`` the n-1 energy differences
-    E_i - E_{j_k}.
+    the n hop matrix elements (real floats, as H is real); ``denominators``
+    the n-1 energy differences E_i - E_{j_k}.
     """
 
     states: tuple[int, ...]
-    amplitudes: tuple[complex, ...]
+    amplitudes: tuple[float, ...]
     denominators: tuple[float, ...]
 
     @property
@@ -73,32 +74,29 @@ class TransitionPath:
         return len(self.amplitudes)
 
     @property
-    def contribution(self) -> complex:
-        num = 1.0 + 0.0j
-        for v in self.amplitudes:
-            num *= v
-        den = 1.0
-        for d in self.denominators:
-            den *= d
-        return num / den
+    def contribution(self) -> float:
+        """Product of the amplitudes over product of the denominators, each
+        multiplied left to right."""
+        return math.prod(self.amplitudes) / math.prod(self.denominators)
 
     def describe(self, space: HilbertSpace) -> str:
         kets = " -> ".join(str(space.state(k)) for k in self.states)
-        vs = " * ".join(f"{v.real:+.6g}" for v in self.amplitudes)
+        vs = " * ".join(f"{v:+.6g}" for v in self.amplitudes)
         ds = " * ".join(f"{d:+.6g}" for d in self.denominators) or "1"
-        return f"{kets} : ({vs}) / ({ds}) = {self.contribution.real:+.10g}"
+        return f"{kets} : ({vs}) / ({ds}) = {self.contribution:+.10g}"
 
 
 @dataclass(frozen=True)
 class EffectiveCoupling:
-    """Path-sum result: value, perturbative order and number of paths.
+    """Path-sum result: the real value g_eff, the perturbative order and the
+    number of paths.
 
     ``paths`` lists the contributing paths; it is enumerated on first access
     by :func:`enumerate_paths` (and so raises :class:`CapacityError` above
     :data:`PATH_CAP`).
     """
 
-    value: complex
+    value: float
     order: int
     path_count: int
     #: (space, h_int, i, f, degeneracy_tol) the value was computed from
@@ -112,14 +110,6 @@ class EffectiveCoupling:
         )
 
 
-def _as_index(space: HilbertSpace, s) -> int:
-    if isinstance(s, (int, np.integer)):
-        return int(s)
-    if isinstance(s, str):
-        s = BasisState.parse(s)
-    return space.index(s)
-
-
 def shortest_order(
     space: HilbertSpace,
     h_int: HermitianOperator,
@@ -129,28 +119,22 @@ def shortest_order(
 ) -> int:
     """Minimal number of interaction applications connecting i to f.
 
-    Breadth-first over nonzero matrix elements; energy denominators are
-    ignored at this stage.
+    The first t <= ``max_depth`` at which a t-hop walk over the stored
+    entries of H_int from i reaches f: the count chain of
+    :func:`effective_coupling` on a boolean frontier (the states within t
+    hops), with no exclusions, stopped at the first hit. Energy denominators
+    are ignored at this stage.
     """
-    i = _as_index(space, i)
-    f = _as_index(space, f)
+    i = space.index(i)
+    f = space.index(f)
     if i == f:
         raise UnreachableError("initial and final states coincide")
-    m = h_int.matrix
-    seen = {i: 0}
-    queue = deque([i])
-    while queue:
-        j = queue.popleft()
-        depth = seen[j]
-        if depth >= max_depth:
-            continue
-        for k in m.indices[m.indptr[j]: m.indptr[j + 1]]:
-            k = int(k)
-            if k == f:
-                return depth + 1
-            if k not in seen:
-                seen[k] = depth + 1
-                queue.append(k)
+    reached = np.zeros(space.dimension, dtype=bool)
+    reached[i] = True
+    for t in range(1, max_depth + 1):
+        reached |= h_int.pattern @ reached > 0
+        if reached[f]:
+            return t
     raise UnreachableError(
         f"no interaction path from {space.state(i)} to {space.state(f)} "
         f"within depth {max_depth}"
@@ -178,13 +162,6 @@ def _exclusions(space: HilbertSpace, i: int, f: int, degeneracy_tol: float):
     r = np.zeros_like(d)
     np.divide(1.0, d, out=r, where=allowed)
     return allowed, r
-
-
-def _pattern(m: sp.csr_matrix) -> sp.csr_matrix:
-    """The stored entries of ``m`` as int64 ones, in the same CSR layout."""
-    return sp.csr_matrix(
-        (np.ones(m.nnz, dtype=np.int64), m.indices, m.indptr), shape=m.shape
-    )
 
 
 def _walk_counts(pattern: sp.csr_matrix, allowed: np.ndarray, start: int, steps: int):
@@ -249,10 +226,9 @@ def _path_sum(space, h_int, i, f, n, degeneracy_tol) -> tuple[float, int]:
     for _ in range(n - 1):
         x = r * (m @ x)
     value = float((m @ x)[f])
-    pattern = _pattern(m)
-    count = int(_walk_counts(pattern, allowed, i, n)[-1][f])
+    count = int(_walk_counts(h_int.pattern, allowed, i, n)[-1][f])
     if count == 0:
-        _check_blocked(space, pattern, allowed, i, f, n, degeneracy_tol)
+        _check_blocked(space, h_int.pattern, allowed, i, f, n, degeneracy_tol)
     return value, count
 
 
@@ -273,16 +249,15 @@ def enumerate_paths(
     reach f, so the cost is proportional to the number of paths; more than
     :data:`PATH_CAP` paths raise :class:`CapacityError` before any is built.
     """
-    i = _as_index(space, i)
-    f = _as_index(space, f)
+    i = space.index(i)
+    f = space.index(f)
     n = _order(space, h_int, i, f, order)
     m = h_int.matrix
     allowed, _ = _exclusions(space, i, f, degeneracy_tol)
-    pattern = _pattern(m)
-    to_f = _walk_counts(pattern, allowed, f, n)
+    to_f = _walk_counts(h_int.pattern, allowed, f, n)
     count = int(to_f[-1][i])
     if count == 0:
-        _check_blocked(space, pattern, allowed, i, f, n, degeneracy_tol)
+        _check_blocked(space, h_int.pattern, allowed, i, f, n, degeneracy_tol)
         return ()
     if count > PATH_CAP:
         raise CapacityError(
@@ -302,9 +277,9 @@ def enumerate_paths(
             k = indices[p]
             if steps_left == 1:
                 if k == f:
-                    paths.append(TransitionPath(states + (f,), amps + (complex(data[p]),), denoms))
+                    paths.append(TransitionPath(states + (f,), amps + (data[p],), denoms))
             elif live[steps_left - 2][k]:
-                dfs(k, steps_left - 1, states + (k,), amps + (complex(data[p]),),
+                dfs(k, steps_left - 1, states + (k,), amps + (data[p],),
                     denoms + (denominators[k],))
 
     dfs(i, n, (i,), (), ())
@@ -327,8 +302,8 @@ def effective_coupling(
     listed until ``.paths`` is read. A warning (not an error) is issued when
     the endpoint energies differ by more than the resonance tolerance.
     """
-    i = _as_index(space, i)
-    f = _as_index(space, f)
+    i = space.index(i)
+    f = space.index(f)
     if abs(space.energies[i] - space.energies[f]) > RESONANCE_TOL:
         warnings.warn(
             f"states {space.state(i)} and {space.state(f)} are off resonance "
@@ -339,7 +314,7 @@ def effective_coupling(
     n = _order(space, h_int, i, f, order)
     value, count = _path_sum(space, h_int, i, f, n, degeneracy_tol)
     return EffectiveCoupling(
-        value=complex(value), order=n, path_count=count,
+        value=value, order=n, path_count=count,
         source=(space, h_int, i, f, degeneracy_tol),
     )
 
@@ -401,7 +376,7 @@ def diagonal_shift(
     """
     if order not in (2, 4):
         raise CapacityError("diagonal_shift supports orders 2 and 4")
-    i = _as_index(space, state)
+    i = space.index(state)
     m = h_int.matrix
     _, r = _exclusions(space, i, i, degeneracy_tol)
     v2 = m[i].toarray().ravel() ** 2  # |V_ij|^2, H real symmetric

@@ -94,7 +94,7 @@ class CrossingReport:
     parameter: float
     gap: float
     predicted: float  # 2|g_eff| at the bare resonance
-    g_eff: complex
+    g_eff: float
 
     @property
     def relative_deviation(self) -> float:
@@ -174,10 +174,10 @@ def track_levels(sweep: SweepSpec) -> SweepResult:
         space = build_space(spec)
         h = build_hamiltonian(space)
         vals, vecs = eigensystem(h, k=_solver_k(sweep))
-        captured_norms(h, vecs, [space.index(s) for s in sweep.tracked])
-        bare = np.stack([space.basis_vector(s) for s in sweep.tracked], axis=1)
-        ref = bare if anchors is None else anchors
-        w = np.abs(vecs.T @ ref) ** 2  # (n_eigs, n_tracked)
+        rows = [space.index(s) for s in sweep.tracked]
+        captured_norms(h, vecs, rows)
+        bare = vecs[rows].T  # (n_eigs, n_tracked): <eigenvector|bare target>
+        w = (bare if anchors is None else vecs.T @ anchors) ** 2
         new_anchors = np.zeros((vecs.shape[0], nt))
         for t in range(nt):
             order = np.argsort(w[:, t])[::-1]
@@ -185,7 +185,7 @@ def track_levels(sweep: SweepSpec) -> SweepResult:
             if len(order) > 1 and w[order[0], t] - w[order[1], t] < OVERLAP_AMBIGUITY:
                 ambiguous[p, t] = True
             levels[p, t] = vals[best]
-            overlaps[p, t] = float(np.abs(vecs[:, best] @ bare[:, t]) ** 2)
+            overlaps[p, t] = float(bare[best, t] ** 2)
             new_anchors[:, t] = vecs[:, best]
         anchors = new_anchors
     return SweepResult(sweep, values, levels, overlaps, ambiguous)
@@ -315,8 +315,7 @@ def kerr_shift_numeric(spec: SystemSpec) -> float:
     vals, vecs = eigensystem(h)
     energies = []
     for n in range(4):
-        bare = space.basis_vector(BasisState((n,), ("g",)))
-        k = int(np.argmax(np.abs(vecs.T @ bare) ** 2))
+        k = int(np.argmax(vecs[space.index(BasisState((n,), ("g",)))] ** 2))
         energies.append(vals[k])
     d1 = energies[2] - 2 * energies[1] + energies[0]
     d2 = energies[3] - 2 * energies[2] + energies[1]

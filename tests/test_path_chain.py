@@ -1,9 +1,11 @@
 """The resolvent-chain path sum against a brute-force walk over the dense
 matrix: values, path counts, listed paths, degenerate-intermediate errors
-and the enumeration cap."""
+and the enumeration cap; and the reachability walk against breadth-first
+search."""
 
 import math
 import warnings
+from collections import deque
 
 import numpy as np
 import pytest
@@ -20,12 +22,14 @@ from rabimix import (
     ModeSpec,
     QubitSpec,
     SystemSpec,
+    UnreachableError,
     build_space,
     diagonal_shift,
     effective_coupling,
     enumerate_paths,
     interaction_for,
     perturbation,
+    shortest_order,
 )
 from rabimix.catalog import build_system, default_frequencies, get_process
 from rabimix.perturbation import DEGENERACY_TOL
@@ -201,3 +205,55 @@ def test_order_below_one_is_a_domain_error():
     for fn in (effective_coupling, enumerate_paths):
         with pytest.raises(DomainError, match="order must be >= 1"):
             fn(space, hint, BasisState.parse("0,e"), BasisState.parse("2,g"), order=0)
+
+
+def breadth_first_order(hint, i, f, max_depth):
+    """Shortest hop count i -> f over the stored entries, by breadth-first
+    search (the reference for the walk in ``shortest_order``); None when f
+    is not reached within ``max_depth`` hops."""
+    m = hint.matrix
+    seen = {i: 0}
+    queue = deque([i])
+    while queue:
+        j = queue.popleft()
+        depth = seen[j]
+        if depth >= max_depth:
+            continue
+        for k in m.indices[m.indptr[j]: m.indptr[j + 1]].tolist():
+            if k == f:
+                return depth + 1
+            if k not in seen:
+                seen[k] = depth + 1
+                queue.append(k)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_cases(), st.integers(1, 8))
+def test_shortest_order_equals_breadth_first_search(case, max_depth):
+    """Same order on reachable pairs, same error on unreachable ones."""
+    spec, i, f, _ = case
+    space, hint = interaction_for(spec)
+    if i == f:
+        with pytest.raises(UnreachableError, match="initial and final states coincide"):
+            shortest_order(space, hint, i, f, max_depth)
+        return
+    expected = breadth_first_order(hint, i, f, max_depth)
+    if expected is None:
+        with pytest.raises(UnreachableError) as err:
+            shortest_order(space, hint, i, f, max_depth)
+        assert str(err.value) == (f"no interaction path from {space.state(i)} to "
+                                  f"{space.state(f)} within depth {max_depth}")
+    else:
+        assert shortest_order(space, hint, i, f, max_depth) == expected
+
+
+def test_shortest_order_at_max_depth_edge():
+    """|0,e> -> |4,g> takes four photon-adding hops: found at max_depth 4,
+    unreachable at 3."""
+    space, hint = interaction_for(two_photon_spec())
+    i, f = BasisState.parse("0,e"), BasisState.parse("4,g")
+    assert shortest_order(space, hint, i, f, max_depth=4) == 4
+    with pytest.raises(UnreachableError) as err:
+        shortest_order(space, hint, i, f, max_depth=3)
+    assert str(err.value) == "no interaction path from |0,e> to |4,g> within depth 3"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from rabimix import (
     BasisState,
     CouplingSpec,
     DegenerateIntermediateError,
+    DomainError,
     InteractionModel,
     ModeSpec,
     QubitSpec,
@@ -22,7 +24,9 @@ from rabimix import (
     shortest_order,
     stimulated_ratio,
 )
+from rabimix.catalog import get_process, verify_entry
 from rabimix.perturbation import sigma_z_only_paths
+from rabimix.spectra import SweepSpec, find_avoided_crossing
 
 
 def jc_resonant(g=0.05, n_max=6):
@@ -202,3 +206,50 @@ def test_two_photon_value_tracks_matrix_elements(g, theta):
     # routes via |1,g> and |1,e> at w_a = 0.5, w_q = 1.0
     expected = (gx * (-gz) * math.sqrt(2)) / (1.0 - 0.5) + (gz * gx * math.sqrt(2)) / (-0.5)
     assert r.value.real == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("index", [-1, 9, 10])
+def test_integer_states_are_range_checked_everywhere(index):
+    """HilbertSpace.index owns the state -> index conversion: an int outside
+    [0, dim) is a DomainError in every caller, never a wrapped-around entry
+    or a bare IndexError; dim - 1 is the last valid state (|4,e>)."""
+    space, hint = interaction_for(two_photon_spec(n_max=4))
+    assert space.dimension == 10
+    f = space.index(BasisState.parse("3,g"))
+    calls = {
+        "element": lambda s: hint.element(s, f),
+        "element (column)": lambda s: hint.element(f, s),
+        "effective_coupling": lambda s: effective_coupling(space, hint, s, f),
+        "enumerate_paths": lambda s: enumerate_paths(space, hint, s, f),
+        "shortest_order": lambda s: shortest_order(space, hint, s, f),
+        "shortest_order (final)": lambda s: shortest_order(space, hint, f, s),
+    }
+    for name, call in calls.items():
+        if index == space.dimension - 1:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert call(index) is not None, name
+        else:
+            with pytest.raises(DomainError, match=rf"basis index {index} outside \[0, 10\)"):
+                call(index)
+    assert hint.element(9, f) == hint.element(BasisState.parse("4,e"), "3,g") != 0.0
+    assert shortest_order(space, hint, 9, f) == 1
+
+
+def test_real_values_are_python_floats():
+    """H is real, so every coupling, amplitude and matrix element is a
+    float, not a complex number with a zero imaginary part."""
+    space, hint = interaction_for(two_photon_spec())
+    i, f = BasisState.parse("0,e"), BasisState.parse("2,g")
+    ec = effective_coupling(space, hint, i, f)
+    assert type(ec.value) is float
+    assert ec.paths
+    for p in ec.paths:
+        assert all(type(v) is float for v in p.amplitudes)
+        assert type(p.contribution) is float
+    assert type(hint.element(BasisState.parse("1,g"), i)) is float
+    sweep = SweepSpec(base=two_photon_spec(), parameter="mode:a", lo=0.45, hi=0.55,
+                      points=11, tracked=(i, f))
+    assert type(find_avoided_crossing(sweep, i, f).g_eff) is float
+    for pid in ("shg_1r1q", "kerr_dispersive"):
+        assert type(verify_entry(get_process(pid)).g_eff) is float, pid
