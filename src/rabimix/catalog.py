@@ -784,7 +784,10 @@ def verify_entry(
     f = entry.final.instantiate(n)
     spec = build_system(entry, freqs, coupling=coupling, mixing_angle=mixing_angle)
     space, hint = interaction_for(spec)
-    rspace, rhint = interaction_for(spec.with_model(entry.required_model))
+    if spec.model is entry.required_model:
+        rspace, rhint = space, hint
+    else:
+        rspace, rhint = interaction_for(spec.with_model(entry.required_model))
     try:
         shortest_order(rspace, rhint, i, f)
         report.reachable = True

@@ -53,6 +53,35 @@ class HermitianOperator:
             (np.ones(m.nnz, dtype=np.int64), m.indices, m.indptr), shape=m.shape
         )
 
+    @cached_property
+    def _diagonal_slots(self) -> tuple[sp.csr_matrix, np.ndarray]:
+        """This matrix with a stored slot at every diagonal position (0.0
+        where it stores none), and the data positions of those slots."""
+        m = self.matrix.tocoo()
+        d = np.arange(self.dimension)
+        t = sp.csr_matrix(
+            (np.concatenate([m.data, np.zeros(len(d))]),
+             (np.concatenate([m.row, d]), np.concatenate([m.col, d]))),
+            shape=m.shape,
+        )  # duplicates summed (x + 0.0 is x), indices sorted, zeros kept
+        rows = np.repeat(d, np.diff(t.indptr))
+        return t, np.flatnonzero(t.indices == rows)
+
+    def with_energies(self, space: HilbertSpace) -> "HermitianOperator":
+        """``build_hamiltonian(space)``, entrywise and in CSR layout, from
+        this ``build_hamiltonian`` result on a space that differs only in
+        frequencies. Hint has no diagonal, so only the diagonal slots are
+        rewritten, with ``space.energies``; an energy of exactly 0 drops its
+        slot, as canonical form stores no zeros."""
+        t, slots = self._diagonal_slots
+        data = t.data.copy()
+        data[slots] = space.energies
+        if space.energies.all():
+            return HermitianOperator(space, sp.csr_matrix((data, t.indices, t.indptr), shape=t.shape))
+        m = sp.csr_matrix((data, t.indices.copy(), t.indptr.copy()), shape=t.shape)
+        m.eliminate_zeros()
+        return HermitianOperator(space, m)
+
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
 

@@ -4,6 +4,8 @@ Level curves are followed by eigenvector overlap (adiabatic continuation)
 rather than by energy order, since diabatic labels cross. The gap at an
 avoided crossing is measured between the two eigenvalues whose eigenvectors
 have the largest weight in the two-dimensional bare subspace of interest.
+Along a sweep H is built once and only its diagonal is rewritten per point;
+the gap minimum is the root of its Hellmann-Feynman slope.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from .errors import BracketingError, CapacityError, ConfigError, DomainError
-from .hamiltonian import HermitianOperator, build_hamiltonian
+from .hamiltonian import HermitianOperator, build_hamiltonian, build_hint
 from .hilbert import BasisState, HilbertSpace, build_space
 from .perturbation import effective_coupling
 from .system import SystemSpec
@@ -115,6 +118,42 @@ def apply_parameter(spec: SystemSpec, parameter: str, value: float) -> SystemSpe
     )
 
 
+def parameter_derivative(space: HilbertSpace, parameter: str) -> sp.csr_matrix:
+    """dH/dv for the sweep parameter v on ``space``: diag(n_m) for
+    ``mode:m``, diag(s_q - 1/2) for ``qubit:q`` (s_q = 1 for e), and for
+    ``coupling:m`` the interaction of mode m's couplings at unit strength,
+    since Hint is linear in the strength."""
+    kind, _, label = parameter.partition(":")
+    if kind == "mode":
+        return sp.diags(space.occupation_table[:, space.mode_index(label)] * 1.0, format="csr")
+    if kind == "qubit":
+        return sp.diags(space.qubit_table[:, space.qubit_index(label)] - 0.5, format="csr")
+    unit = apply_parameter(space.spec, parameter, 1.0)  # raises for an unknown kind
+    mine = tuple(c for c in unit.couplings if c.mode_label == label)
+    return build_hint(space, mine, unit.model).matrix
+
+
+class SweepHamiltonian:
+    """H along a sweep, built once. :meth:`at` equals
+    ``build_hamiltonian(build_space(sweep.spec_at(v)))`` entrywise and in CSR
+    layout: between builds only the bare energies on the diagonal change
+    (:meth:`HermitianOperator.with_energies`). H is built again only when
+    ``spec_at(v)`` changes the couplings, i.e. at every point of a coupling
+    sweep."""
+
+    def __init__(self, sweep: SweepSpec):
+        self.sweep = sweep
+        self.space = build_space(sweep.base)
+        self._built = None
+
+    def at(self, value: float) -> HermitianOperator:
+        space = build_space(self.sweep.spec_at(value))
+        if self._built is None or space.spec.couplings != self._built.space.spec.couplings:
+            self._built = build_hamiltonian(space)
+            return self._built
+        return self._built.with_energies(space)
+
+
 def eigensystem(h: HermitianOperator, k: int | None = None):
     """Eigenvalues (ascending) and real orthonormal eigenvectors of the real
     symmetric operator. Dense up to :data:`DENSE_CAP`; lowest-k Krylov above,
@@ -161,7 +200,8 @@ def track_levels(sweep: SweepSpec) -> SweepResult:
     At the first point each level anchors to its bare basis vector; from the
     second point on, to the previous point's eigenvector (adiabatic
     re-anchoring). The reported overlap is always against the bare target,
-    which decays toward 1/2 inside an avoided crossing.
+    which decays toward 1/2 inside an avoided crossing. H comes from one
+    :class:`SweepHamiltonian`.
     """
     values = sweep.values()
     nt = len(sweep.tracked)
@@ -169,12 +209,11 @@ def track_levels(sweep: SweepSpec) -> SweepResult:
     overlaps = np.zeros((len(values), nt))
     ambiguous = np.zeros((len(values), nt), dtype=bool)
     anchors = None
+    hs = SweepHamiltonian(sweep)
+    rows = [hs.space.index(s) for s in sweep.tracked]
     for p, v in enumerate(values):
-        spec = sweep.spec_at(v)
-        space = build_space(spec)
-        h = build_hamiltonian(space)
+        h = hs.at(v)
         vals, vecs = eigensystem(h, k=_solver_k(sweep))
-        rows = [space.index(s) for s in sweep.tracked]
         captured_norms(h, vecs, rows)
         bare = vecs[rows].T  # (n_eigs, n_tracked): <eigenvector|bare target>
         w = (bare if anchors is None else vecs.T @ anchors) ** 2
@@ -191,17 +230,31 @@ def track_levels(sweep: SweepSpec) -> SweepResult:
     return SweepResult(sweep, values, levels, overlaps, ambiguous)
 
 
+def _top2(h: HermitianOperator, rows: list[int]):
+    """Eigenvalues and eigenvectors of the two eigenpairs of ``h`` with the
+    largest weight on the bare states ``rows``."""
+    vals, vecs = eigensystem(h, k=12)
+    captured_norms(h, vecs, rows)
+    top2 = np.argsort((vecs[rows] ** 2).sum(axis=0))[::-1][:2]
+    return vals[top2], vecs[:, top2]
+
+
+def gap_and_slope(h: HermitianOperator, dh: sp.csr_matrix, rows: list[int]) -> tuple[float, float]:
+    """The :func:`subspace_gap` G = |E_1 - E_2| of the bare states ``rows``
+    on ``h``, and its slope dG/dv for dH/dv = ``dh`` by Hellmann-Feynman:
+    sign(E_1 - E_2) (<1|dh|1> - <2|dh|2>) on the same two eigenvectors."""
+    vals, vecs = _top2(h, rows)
+    d = vals[0] - vals[1]
+    e1, e2 = (x @ (dh @ x) for x in vecs.T)
+    return float(abs(d)), float(np.sign(d) * (e1 - e2))
+
+
 def subspace_gap(spec: SystemSpec, a: BasisState, b: BasisState) -> float:
     """Distance between the two eigenvalues with the largest weight in the
     span of the two bare states."""
     space = build_space(spec)
-    h = build_hamiltonian(space)
-    vals, vecs = eigensystem(h, k=12)
-    rows = [space.index(a), space.index(b)]
-    captured_norms(h, vecs, rows)
-    weight = (vecs[rows] ** 2).sum(axis=0)
-    top2 = np.argsort(weight)[::-1][:2]
-    return float(abs(vals[top2[0]] - vals[top2[1]]))
+    vals, _ = _top2(build_hamiltonian(space), [space.index(a), space.index(b)])
+    return float(abs(vals[0] - vals[1]))
 
 
 def bare_resonance_parameter(sweep: SweepSpec, a: BasisState, b: BasisState) -> float:
@@ -232,35 +285,52 @@ def find_avoided_crossing(
     """Locate the minimum gap between two tracked levels and compare it with
     the perturbative prediction 2|g_eff|.
 
-    A coarse scan over the sweep grid brackets the minimum; golden-section
-    refinement then pins the parameter to about sqrt(eps) ~ 1e-8 relative,
-    not to the xtol of 1e-10 it is given: the gap is flat to second order at
-    its minimum, so parameters that close give gaps equal to rounding. The
-    gap value itself is accurate to rounding. The prediction is the
-    path-sum g_eff evaluated at the bare-resonance point.
+    The gap G(v) is the :func:`subspace_gap` of ``level_a`` and ``level_b``
+    on H(v), with H built once (:class:`SweepHamiltonian`). A scan over the
+    sweep grid finds the grid minimum v_k (at an edge of the grid it raises
+    :class:`BracketingError`). The minimum is then the root of the slope,
+    which Hellmann-Feynman gives from the two eigenvectors the gap already
+    uses: dG/dv = sign(E_1 - E_2) (<1|dH/dv|1> - <2|dH/dv|2>). The slope's
+    sign at v_k picks the grid cell on that side; :func:`scipy.optimize.brentq`
+    finds the root in it to xtol 1e-14 + rtol 4e-15 |v|, and a cell where the
+    slope keeps its sign raises :class:`BracketingError`. The parameter is
+    thus pinned to rounding: the JC crossing of |1,g> and |0,e> at
+    w_a = w_q = 1 comes out within 1e-12 of 1 (a test pins this), where a
+    search on the gap itself, flat to second order, reaches only sqrt(eps).
+    The gap is reported at the root. The prediction is the path-sum g_eff
+    evaluated at the bare-resonance point.
     """
     import scipy.optimize  # deferred: it adds half again to `import rabimix`
 
+    hs = SweepHamiltonian(sweep)
+    dh = parameter_derivative(hs.space, sweep.parameter)
+    rows = [hs.space.index(level_a), hs.space.index(level_b)]
+    points = {}  # v -> (gap, slope)
+
+    def point(v):
+        if v not in points:
+            points[v] = gap_and_slope(hs.at(v), dh, rows)
+        return points[v]
+
     values = sweep.values()
-    gaps = np.array([subspace_gap(sweep.spec_at(v), level_a, level_b) for v in values])
-    k = int(np.argmin(gaps))
+    k = int(np.argmin([point(v)[0] for v in values]))
     if k == 0 or k == len(values) - 1:
         raise BracketingError(
             f"gap minimum between {level_a} and {level_b} sits at the edge of "
             f"[{sweep.lo}, {sweep.hi}]; widen the sweep"
         )
-
-    def f(v):
-        return subspace_gap(sweep.spec_at(v), level_a, level_b)
-
-    res = scipy.optimize.minimize_scalar(
-        f,
-        bracket=(values[k - 1], values[k], values[k + 1]),
-        method="golden",
-        options={"xtol": 1e-10},
-    )
-    v_min = float(res.x)
-    gap = float(res.fun)
+    slope = point(values[k])[1]
+    v_min = float(values[k])
+    if slope != 0.0:
+        lo, hi = (values[k - 1], values[k]) if slope > 0 else (values[k], values[k + 1])
+        if point(lo)[1] > 0.0 or point(hi)[1] < 0.0:
+            raise BracketingError(
+                f"the gap slope between {level_a} and {level_b} does not change "
+                f"sign over [{lo}, {hi}]"
+            )
+        v_min = float(scipy.optimize.brentq(
+            lambda v: point(v)[1], lo, hi, xtol=1e-14, rtol=4e-15))
+    gap = point(v_min)[0]
 
     v_res = bare_resonance_parameter(sweep, level_a, level_b)
     spec_res = sweep.spec_at(v_res)

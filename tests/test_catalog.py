@@ -146,3 +146,20 @@ def test_format_entry_contains_stable_fields():
     keys = [line.split(":")[0] for line in lines]
     assert keys[:5] == ["id", "name", "category", "table", "degenerate"]
     assert "resonance" in keys and "transition" in keys and "required_model" in keys
+
+
+def test_verify_entry_builds_the_interaction_once_under_the_required_model(monkeypatch):
+    """When the entry's system already uses its required model, the
+    reachability check reuses that (space, Hint): one build, plus one per
+    weaker model."""
+    from rabimix import catalog
+    from rabimix.system import weaker_models
+
+    e = get_process("shg_1r1q")
+    assert build_system(e, default_frequencies(e)).model is e.required_model
+    calls = []
+    original = catalog.interaction_for
+    monkeypatch.setattr(catalog, "interaction_for",
+                        lambda spec: calls.append(spec.model) or original(spec))
+    assert verify_entry(e).passed
+    assert calls == [e.required_model, *weaker_models(e.required_model)]
