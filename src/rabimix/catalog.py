@@ -42,55 +42,42 @@ DEFAULT_MAX_HARMONIC_ORDER = 6
 
 @dataclass(frozen=True)
 class StateTemplate:
-    """Bare-state template; occupations may be the symbols 'n' or 'n+1'."""
+    """Bare-state template. Each mode occupation is a (constant,
+    n-coefficient) pair: "n" is (0, 1), "n+1" is (1, 1) and "2" is (2, 0)."""
 
     occupations: tuple
     qubit_states: tuple
 
     def instantiate(self, n: int = 0) -> BasisState:
-        occ = []
-        for o in self.occupations:
-            if o == "n":
-                occ.append(n)
-            elif o == "n+1":
-                occ.append(n + 1)
-            else:
-                occ.append(int(o))
-        return BasisState(tuple(occ), self.qubit_states)
-
-    def occupation_forms(self):
-        """(constant, n-coefficient) pair per mode slot."""
-        out = []
-        for o in self.occupations:
-            if o == "n":
-                out.append((0, 1))
-            elif o == "n+1":
-                out.append((1, 1))
-            else:
-                out.append((int(o), 0))
-        return out
+        return BasisState(tuple(c + d * n for c, d in self.occupations), self.qubit_states)
 
     def excitation_form(self):
-        const = sum(c for c, _ in self.occupation_forms()) + sum(
-            1 for s in self.qubit_states if s == "e"
-        )
-        ncoeff = sum(d for _, d in self.occupation_forms())
+        const = sum(c for c, _ in self.occupations) + self.qubit_states.count("e")
+        ncoeff = sum(d for _, d in self.occupations)
         return const, ncoeff
 
     def label(self) -> str:
-        return ",".join([str(o) for o in self.occupations] + list(self.qubit_states))
+        occ = []
+        for c, d in self.occupations:
+            if d == 0:
+                occ.append(str(c))
+            else:
+                occ.append("n" if c == 0 else f"n+{c}")
+        return ",".join(occ + list(self.qubit_states))
 
 
 def _t(text: str) -> StateTemplate:
-    parts = [p.strip() for p in text.split(",")]
     occ, qs = [], []
-    for p in parts:
+    for p in text.split(","):
+        p = p.strip()
         if p in ("g", "e"):
             qs.append(p)
-        elif p in ("n", "n+1"):
-            occ.append(p)
+        elif p == "n":
+            occ.append((0, 1))
+        elif p == "n+1":
+            occ.append((1, 1))
         else:
-            occ.append(int(p))
+            occ.append((int(p), 0))
     return StateTemplate(tuple(occ), tuple(qs))
 
 
@@ -156,7 +143,7 @@ class ProcessEntry:
             diff[sym] = (c0 + const, n0 + ncoeff)
 
         for tpl, sign in ((self.initial, 1), (self.final, -1)):
-            for (c, d), sym in zip(tpl.occupation_forms(), self.mode_symbols):
+            for (c, d), sym in zip(tpl.occupations, self.mode_symbols):
                 add(sym, sign * Fraction(c), sign * Fraction(d))
             for s, sym in zip(tpl.qubit_states, self.qubit_symbols):
                 half = Fraction(1, 2) if s == "e" else Fraction(-1, 2)
@@ -667,7 +654,7 @@ def build_system(
         raise ConfigError(f"missing frequencies for {entry.id}: {missing}")
     occ_max = 0
     for tpl in (entry.initial, entry.final):
-        for c, d in tpl.occupation_forms():
+        for c, d in tpl.occupations:
             occ_max = max(occ_max, c + d)  # n instantiated at 0 or 1 stays small
     nm = n_max if n_max is not None else default_n_max(occ_max)
     modes = tuple(

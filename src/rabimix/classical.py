@@ -143,10 +143,15 @@ def effective_linear_susceptibility(kind: str, chi: Susceptibilities, bias: floa
     raise ConfigError(f"unknown effect {kind!r}; expected 'pockels' or 'kerr'")
 
 
-def write_spectrum_csv(components, path) -> None:
-    """Emit ``frequency,amplitude`` CSV at 17 significant digits."""
+def spectrum_csv(components) -> str:
+    """``frequency,amplitude`` CSV text at 17 significant digits."""
     lines = ["frequency,amplitude"]
     for f, a in components:
         lines.append(f"{float(f):.17g},{a:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def write_spectrum_csv(components, path) -> None:
+    """Write :func:`spectrum_csv` of ``components`` to ``path``."""
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(spectrum_csv(components))

@@ -20,7 +20,7 @@ import sys
 import tempfile
 
 from . import catalog as cat
-from .classical import Susceptibilities, Tone, polarization_spectrum, write_spectrum_csv
+from .classical import Susceptibilities, Tone, polarization_spectrum, spectrum_csv
 from .config import RunConfig, parse_config, section_defaults
 from .dynamics import EvolutionSpec, evolve, extract_oscillation, write_trace_csv
 from .errors import CapacityError, ConfigError, FlatTraceError, RabimixError
@@ -180,16 +180,7 @@ def cmd_classical(args) -> int:
     chi = Susceptibilities(
         chi1=sec["chi1"], chi2=sec["chi2"], chi3=sec["chi3"], epsilon0=sec["epsilon0"]
     )
-    components = polarization_spectrum(tones, chi)
-    path = args.output or sec["output"]
-    if path is None:
-        print("frequency,amplitude")
-        for f, a in components:
-            print(f"{float(f):.17g},{a:.17g}")
-    else:
-        with _atomic_path(path) as tmp:
-            write_spectrum_csv(components, tmp)
-        print(f"wrote {path}")
+    _emit(spectrum_csv(polarization_spectrum(tones, chi)), args.output or sec["output"])
     return 0
 
 

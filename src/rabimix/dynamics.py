@@ -16,11 +16,13 @@ error of order |lambda| t eps to it, the same order as forming lambda t.
 
 The evolution is unitary, so the norm and the energy are constants of the
 eigenbasis amplitudes psi0 = V^T e_i: the ``norm`` column is ||psi0|| and
-``energies`` is sum_j psi0_j^2 lambda_j. A norm that misses 1 by more than
-:data:`~rabimix.spectra.NORM_TOL` means the eigenpairs do not span the initial
-state (above :data:`~rabimix.spectra.DENSE_CAP` only the lowest few are
-computed), and :func:`evolve` raises :class:`~rabimix.errors.CapacityError`
-instead of returning a truncated trace.
+``energies`` is sum_j psi0_j^2 lambda_j. :func:`~rabimix.spectra.eigensystem`
+certifies the initial row: when the eigenpairs do not span e_i to
+:data:`~rabimix.spectra.NORM_TOL` (above :data:`~rabimix.spectra.DENSE_CAP`
+only the lowest few are computed) it raises
+:class:`~rabimix.errors.CapacityError`, so no truncated trace is returned.
+The target rows need no certificate: once e_i lies in the span of
+the eigenvectors, A_f above is the exact amplitude.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from .errors import ConfigError, FlatTraceError
 from .hamiltonian import HermitianOperator
 from .hilbert import BasisState, HilbertSpace
-from .spectra import captured_norms, eigensystem
+from .spectra import eigensystem
 
 #: Peak-to-peak population variation below which a trace counts as flat.
 FLAT_TOL = 1e-6
@@ -81,9 +83,8 @@ def evolve(space: HilbertSpace, h: HermitianOperator, spec: EvolutionSpec) -> Po
     Raises :class:`~rabimix.errors.CapacityError` when the eigenpairs do not
     span the initial state to :data:`~rabimix.spectra.NORM_TOL`.
     """
-    vals, vecs = eigensystem(h)
     i = space.index(spec.initial)
-    norm = captured_norms(h, vecs, [i])[0]
+    vals, vecs = eigensystem(h, [i])
     psi0 = vecs[i]  # eigenbasis amplitudes <j|i>
     n = spec.samples
     times = np.linspace(0.0, spec.total_time, n)
@@ -95,7 +96,8 @@ def evolve(space: HilbertSpace, h: HermitianOperator, spec: EvolutionSpec) -> Po
     for f in spec.targets:
         amp = (outer * (vecs[space.index(f)] * psi0)) @ inner.T
         populations[f] = np.abs(amp.ravel()[:n]) ** 2
-    norms = np.full(n, norm)
+    # ||psi0|| summed pairwise as captured_norms sums it, not by a BLAS dot
+    norms = np.full(n, np.sqrt(np.add.reduce(psi0 * psi0)))
     energies = np.full(n, float(psi0**2 @ vals))
     return PopulationTrace(spec, times, populations, norms, energies)
 

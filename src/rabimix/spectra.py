@@ -154,21 +154,30 @@ class SweepHamiltonian:
         return self._built.with_energies(space)
 
 
-def eigensystem(h: HermitianOperator, k: int | None = None):
+def eigensystem(h: HermitianOperator, rows=()):
     """Eigenvalues (ascending) and real orthonormal eigenvectors of the real
-    symmetric operator. Dense up to :data:`DENSE_CAP`; lowest-k Krylov above,
-    where ``k`` must then be given (or defaults to 16).
+    symmetric operator, certified on the bare states ``rows`` (indices into
+    ``h.space``) whose eigenvector rows the caller reads.
+
+    This is the only place that chooses how to diagonalize. Up to
+    :data:`DENSE_CAP` dense ``eigh`` gives every eigenpair; above it Krylov
+    ``eigsh`` gives the lowest k = max(16, 2 len(rows) + 8). Either way
+    :func:`captured_norms` checks the result on ``rows`` before it is
+    returned, so a state the eigenvectors do not span raises
+    :class:`CapacityError` instead of giving a silently wrong answer.
     """
     dim = h.dimension
     if dim <= DENSE_CAP:
-        return scipy.linalg.eigh(h.to_dense())
-    if k is None:
-        k = 16
-    if k >= dim:
-        raise CapacityError(f"requested {k} eigenpairs of a dimension-{dim} operator")
-    vals, vecs = scipy.sparse.linalg.eigsh(h.matrix, k=k, which="SA")
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+        vals, vecs = scipy.linalg.eigh(h.to_dense())
+    else:
+        k = max(16, 2 * len(rows) + 8)
+        if k >= dim:
+            raise CapacityError(f"requested {k} eigenpairs of a dimension-{dim} operator")
+        vals, vecs = scipy.sparse.linalg.eigsh(h.matrix, k=k, which="SA")
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+    captured_norms(h, vecs, list(rows))
+    return vals, vecs
 
 
 def captured_norms(h: HermitianOperator, vecs: np.ndarray, indices) -> np.ndarray:
@@ -190,10 +199,6 @@ def captured_norms(h: HermitianOperator, vecs: np.ndarray, indices) -> np.ndarra
     return norms
 
 
-def _solver_k(sweep: SweepSpec) -> int:
-    return 2 * len(sweep.tracked) + 8
-
-
 def track_levels(sweep: SweepSpec) -> SweepResult:
     """Follow the tracked bare states through the sweep by eigenvector overlap.
 
@@ -213,8 +218,7 @@ def track_levels(sweep: SweepSpec) -> SweepResult:
     rows = [hs.space.index(s) for s in sweep.tracked]
     for p, v in enumerate(values):
         h = hs.at(v)
-        vals, vecs = eigensystem(h, k=_solver_k(sweep))
-        captured_norms(h, vecs, rows)
+        vals, vecs = eigensystem(h, rows)
         bare = vecs[rows].T  # (n_eigs, n_tracked): <eigenvector|bare target>
         w = (bare if anchors is None else vecs.T @ anchors) ** 2
         new_anchors = np.zeros((vecs.shape[0], nt))
@@ -233,8 +237,7 @@ def track_levels(sweep: SweepSpec) -> SweepResult:
 def _top2(h: HermitianOperator, rows: list[int]):
     """Eigenvalues and eigenvectors of the two eigenpairs of ``h`` with the
     largest weight on the bare states ``rows``."""
-    vals, vecs = eigensystem(h, k=12)
-    captured_norms(h, vecs, rows)
+    vals, vecs = eigensystem(h, rows)
     top2 = np.argsort((vecs[rows] ** 2).sum(axis=0))[::-1][:2]
     return vals[top2], vecs[:, top2]
 
@@ -362,10 +365,13 @@ def convergence_check(spec: SystemSpec, observable, n_max_step: int = 2, repeats
 
 def kerr_shift_numeric(spec: SystemSpec) -> float:
     """Photon-number curvature of the qubit-ground branch from the exact
-    spectrum: half the second difference of E(n) over n = 0..3.
+    spectrum: half the second difference of E(n) over n = 0..3, where E(n)
+    is the eigenvalue with the largest weight on |n,g>.
 
     Valid in the dispersive regime; a warning is issued when any coupling
-    exceeds a fifth of its detuning from the qubit.
+    exceeds a fifth of its detuning from the qubit. The four |n,g> rows are
+    certified by :func:`eigensystem` like every other read, so eigenpairs
+    that miss one raise :class:`CapacityError`.
     """
     space = build_space(spec)
     for c in spec.couplings:
@@ -381,12 +387,9 @@ def kerr_shift_numeric(spec: SystemSpec) -> float:
         raise DomainError("kerr_shift_numeric expects one mode and one qubit")
     if spec.modes[0].n_max < 3:
         raise CapacityError("kerr_shift_numeric needs n_max >= 3")
-    h = build_hamiltonian(space)
-    vals, vecs = eigensystem(h)
-    energies = []
-    for n in range(4):
-        k = int(np.argmax(vecs[space.index(BasisState((n,), ("g",)))] ** 2))
-        energies.append(vals[k])
+    rows = [space.index(BasisState((n,), ("g",))) for n in range(4)]
+    vals, vecs = eigensystem(build_hamiltonian(space), rows)
+    energies = [vals[int(np.argmax(vecs[r] ** 2))] for r in rows]
     d1 = energies[2] - 2 * energies[1] + energies[0]
     d2 = energies[3] - 2 * energies[2] + energies[1]
     return 0.25 * (d1 + d2)

@@ -109,9 +109,8 @@ def per_point_rebuild(sweep):
     for p, v in enumerate(values):
         space = build_space(sweep.spec_at(v))
         h = build_hamiltonian(space)
-        vals, vecs = spectra.eigensystem(h, k=2 * nt + 8)
         rows = [space.index(s) for s in sweep.tracked]
-        spectra.captured_norms(h, vecs, rows)
+        vals, vecs = spectra.eigensystem(h, rows)
         bare = vecs[rows].T
         w = (bare if anchors is None else vecs.T @ anchors) ** 2
         anchors = np.zeros((vecs.shape[0], nt))

@@ -216,7 +216,7 @@ def test_captured_norms_tolerance_edge():
 
 
 def test_subspace_gap_above_dense_cap_raises_for_uncaptured_states(monkeypatch):
-    """The 12 lowest eigenpairs above DENSE_CAP do not hold |1,2,e>."""
+    """The 16 lowest eigenpairs above DENSE_CAP do not hold |1,2,e>."""
     monkeypatch.setattr(spectra, "DENSE_CAP", 64)
     with pytest.raises(CapacityError, match=r"dimension-98 .*DENSE_CAP = 64"):
         subspace_gap(shg_spec(), BasisState.parse("1,2,e"), BasisState.parse("0,4,e"))
