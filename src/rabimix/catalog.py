@@ -35,8 +35,8 @@ from .system import (
 )
 from . import closed_forms
 
-#: Largest harmonic order instantiated by default for the generic
-#: higher-harmonic templates (m-wave mixing with m - 1 degenerate signals).
+#: Largest m of the generic higher-harmonic templates in the catalog (m-wave
+#: mixing with m - 1 degenerate signals, for m = 5 up to this value).
 DEFAULT_MAX_HARMONIC_ORDER = 6
 
 
@@ -83,7 +83,8 @@ def _t(text: str) -> StateTemplate:
 
 @dataclass(frozen=True)
 class ProcessEntry:
-    """One cataloged mixing process."""
+    """One cataloged mixing process. Rows give the templates as text ("2,g")
+    and the models by name; ``eval_model`` defaults to ``required_model``."""
 
     id: str
     category: str  # three-wave | four-wave | higher | other
@@ -96,11 +97,20 @@ class ProcessEntry:
     initial: StateTemplate
     final: StateTemplate
     required_model: InteractionModel
-    eval_model: InteractionModel  # model used for numerical evaluation
+    eval_model: InteractionModel | None = None  # model used for numerical evaluation
     closed_form: str | None = None
     closed_form_only: bool = False
     duplicate_of: str | None = None  # same physical transition as another row
     notes: str = ""
+
+    def __post_init__(self):
+        if isinstance(self.initial, str):
+            object.__setattr__(self, "initial", _t(self.initial))
+        if isinstance(self.final, str):
+            object.__setattr__(self, "final", _t(self.final))
+        model = InteractionModel.parse(self.required_model)
+        object.__setattr__(self, "required_model", model)
+        object.__setattr__(self, "eval_model", InteractionModel.parse(self.eval_model or model))
 
     @property
     def n_modes(self) -> int:
@@ -178,76 +188,37 @@ class ProcessEntry:
         return ratio is not None and ratio != 0
 
 
-def _entry(
-    id,
-    category,
-    name,
-    table,
-    degenerate,
-    modes,
-    qubits,
-    resonance,
-    initial,
-    final,
-    model,
-    eval_model=None,
-    closed_form=None,
-    closed_form_only=False,
-    duplicate_of=None,
-    notes="",
-):
-    model = InteractionModel.parse(model)
-    return ProcessEntry(
-        id=id,
-        category=category,
-        name=name,
-        table=table,
-        degenerate=degenerate,
-        mode_symbols=tuple(modes),
-        qubit_symbols=tuple(qubits),
-        resonance=dict(resonance),
-        initial=_t(initial),
-        final=_t(final),
-        required_model=model,
-        eval_model=InteractionModel.parse(eval_model) if eval_model else model,
-        closed_form=closed_form,
-        closed_form_only=closed_form_only,
-        duplicate_of=duplicate_of,
-        notes=notes,
-    )
-
-
 def _three_wave_entries():
     G = "generalized_rabi"
     e = []
     # degenerate block: second-harmonic / second-subharmonic generation
-    e.append(_entry(
+    e.append(ProcessEntry(
         "shg_1r1q", "three-wave", "second-harmonic generation (1 resonator, 1 qubit)",
         1, True, ("a",), ("q",), {"q": 1, "a": -2}, "2,g", "0,e", G,
         closed_form="two_photon_qubit",
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "shg_2r1q", "three-wave", "second-harmonic generation (2 resonators, 1 qubit)",
         1, True, ("a", "b"), ("q",), {"a": 1, "b": -2}, "0,2,g", "1,0,g", G,
         closed_form="shg_two_mode",
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "shg_1r2q", "three-wave", "second-harmonic generation (1 resonator, 2 qubits)",
         1, True, ("a",), ("q", "q"), {"a": 1, "q": -2}, "0,e,e", "1,g,g", G,
         closed_form="photon_two_qubits",
         notes="closed form valid on resonance only",
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "sshg_1r1q", "three-wave", "second-subharmonic generation (1 resonator, 1 qubit)",
         1, True, ("a",), ("q",), {"q": 1, "a": -2}, "0,e", "2,g", G,
         closed_form="two_photon_qubit",
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "sshg_2r1q", "three-wave", "second-subharmonic generation (2 resonators, 1 qubit)",
         1, True, ("a", "b"), ("q",), {"a": 1, "b": -2}, "1,0,g", "0,2,g", G,
         closed_form="shg_two_mode",
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "sshg_1r2q", "three-wave", "second-subharmonic generation (1 resonator, 2 qubits)",
         1, True, ("a",), ("q", "q"), {"a": 1, "q": -2}, "1,g,g", "0,e,e", G,
         closed_form="photon_two_qubits",
@@ -255,57 +226,57 @@ def _three_wave_entries():
     ))
     # nondegenerate block: Raman scattering
     raman = dict(modes=("a", "b"), qubits=("q",), resonance={"a": 1, "b": -1, "q": -1})
-    e.append(_entry(
+    e.append(ProcessEntry(
         "raman_spont_stokes", "three-wave", "spontaneous Raman scattering, Stokes",
         1, False, raman["modes"], raman["qubits"], raman["resonance"],
         "1,0,g", "0,1,e", G, closed_form="raman_stokes",
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "raman_spont_anti_stokes", "three-wave", "spontaneous Raman scattering, anti-Stokes",
         1, False, raman["modes"], raman["qubits"], raman["resonance"],
         "0,1,e", "1,0,g", G, closed_form="raman_stokes",
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "raman_stim_stokes", "three-wave", "stimulated Raman scattering, Stokes",
         1, False, raman["modes"], raman["qubits"], raman["resonance"],
         "1,n,g", "0,n+1,e", G, duplicate_of="raman_spont_stokes",
         notes="n = 0 reduces to the spontaneous process; rate scales as sqrt(n+1)",
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "raman_stim_anti_stokes", "three-wave", "stimulated Raman scattering, anti-Stokes",
         1, False, raman["modes"], raman["qubits"], raman["resonance"],
         "n,1,e", "n+1,0,g", G, duplicate_of="raman_spont_anti_stokes",
         notes="n = 0 reduces to the spontaneous process; rate scales as sqrt(n+1)",
     ))
     # nondegenerate block: sum- and difference-frequency generation
-    e.append(_entry(
+    e.append(ProcessEntry(
         "sfg_1r2q", "three-wave", "sum-frequency generation (1 resonator, 2 qubits)",
         1, False, ("a",), ("q1", "q2"), {"a": 1, "q1": -1, "q2": -1},
         "0,e,e", "1,g,g", G, duplicate_of="shg_1r2q",
         notes="identical-qubit limit coincides with second-harmonic generation",
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "sfg_2r1q", "three-wave", "sum-frequency generation (2 resonators, 1 qubit)",
         1, False, ("a", "b"), ("q",), {"a": 1, "b": 1, "q": -1},
         "1,1,g", "0,0,e", G,
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "sfg_3r1q", "three-wave", "sum-frequency generation (3 resonators, 1 qubit)",
         1, False, ("a", "b", "c"), ("q",), {"a": 1, "b": 1, "c": -1},
         "1,1,0,g", "0,0,1,g", G,
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "dfg_1r2q", "three-wave", "difference-frequency generation (1 resonator, 2 qubits)",
         1, False, ("a",), ("q1", "q2"), {"a": 1, "q1": -1, "q2": -1},
         "1,g,g", "0,e,e", G, duplicate_of="sshg_1r2q",
         notes="identical-qubit limit coincides with second-subharmonic generation",
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "dfg_2r1q", "three-wave", "difference-frequency generation (2 resonators, 1 qubit)",
         1, False, ("a", "b"), ("q",), {"a": 1, "b": 1, "q": -1},
         "0,0,e", "1,1,g", G,
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "dfg_3r1q", "three-wave", "difference-frequency generation (3 resonators, 1 qubit)",
         1, False, ("a", "b", "c"), ("q",), {"a": 1, "b": 1, "c": -1},
         "0,0,1,g", "1,1,0,g", G,
@@ -318,52 +289,52 @@ def _four_wave_entries():
     J = "jc"
     e = []
     # degenerate block: third-harmonic / third-subharmonic generation
-    e.append(_entry(
+    e.append(ProcessEntry(
         "thg_1r1q", "four-wave", "third-harmonic generation (1 resonator, 1 qubit)",
         2, True, ("a",), ("q",), {"q": 1, "a": -3}, "3,g", "0,e", R,
         closed_form="three_photon_qubit",
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "thg_2r1q", "four-wave", "third-harmonic generation (2 resonators, 1 qubit)",
         2, True, ("a", "b"), ("q",), {"a": 1, "b": -3}, "0,3,g", "1,0,g", R,
         closed_form="thg_two_mode",
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "thg_1r3q", "four-wave", "third-harmonic generation (1 resonator, 3 qubits)",
         2, True, ("a",), ("q", "q", "q"), {"a": 1, "q": -3}, "0,e,e,e", "1,g,g,g", R,
         closed_form="three_qubit_thg",
         notes="destructive interference: coupling vanishes exactly on resonance",
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "tshg_1r1q", "four-wave", "third-subharmonic generation (1 resonator, 1 qubit)",
         2, True, ("a",), ("q",), {"q": 1, "a": -3}, "0,e", "3,g", R,
         closed_form="three_photon_qubit",
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "tshg_2r1q", "four-wave", "third-subharmonic generation (2 resonators, 1 qubit)",
         2, True, ("a", "b"), ("q",), {"a": 1, "b": -3}, "1,0,g", "0,3,g", R,
         closed_form="thg_two_mode",
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "tshg_1r3q", "four-wave", "third-subharmonic generation (1 resonator, 3 qubits)",
         2, True, ("a",), ("q", "q", "q"), {"a": 1, "q": -3}, "1,g,g,g", "0,e,e,e", R,
         closed_form="three_qubit_thg",
         notes="destructive interference: coupling vanishes exactly on resonance",
     ))
     # degenerate block: hyper-Raman scattering
-    e.append(_entry(
+    e.append(ProcessEntry(
         "hyper_raman_1_stokes", "four-wave", "hyper-Raman scattering type I, Stokes",
         2, True, ("a", "b"), ("q",), {"a": 1, "q": 1, "b": -2},
         "0,2,g", "1,0,e", J, eval_model=R, closed_form="hyper_raman_one_stokes",
         notes="excitation conserving, so JC terms suffice; the full formula "
               "includes counter-rotating contributions",
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "hyper_raman_1_anti_stokes", "four-wave", "hyper-Raman scattering type I, anti-Stokes",
         2, True, ("a", "b"), ("q",), {"a": 1, "b": -2, "q": -1},
         "0,2,e", "1,0,g", R, closed_form="hyper_raman_one_anti_stokes",
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "hyper_raman_2_stokes", "four-wave", "hyper-Raman scattering type II, Stokes",
         2, True, ("a", "b"), ("q", "q"), {"a": 1, "b": -1, "q": -2},
         "1,0,g,g", "0,1,e,e", R, closed_form="hyper_raman_two",
@@ -371,7 +342,7 @@ def _four_wave_entries():
         notes="identical-qubit limit of type-III four-wave mixing with two "
               "resonators and two qubits; coupling vanishes exactly on resonance",
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "hyper_raman_2_anti_stokes", "four-wave", "hyper-Raman scattering type II, anti-Stokes",
         2, True, ("a", "b"), ("q", "q"), {"a": 1, "b": -1, "q": -2},
         "0,1,e,e", "1,0,g,g", R, closed_form="hyper_raman_two",
@@ -380,97 +351,97 @@ def _four_wave_entries():
               "resonators and two qubits; coupling vanishes exactly on resonance",
     ))
     # nondegenerate block: type I (2 in, 2 out)
-    e.append(_entry(
+    e.append(ProcessEntry(
         "fw1_3r1q", "four-wave", "type-I four-wave mixing (3 resonators, 1 qubit)",
         2, False, ("a", "b", "c"), ("q",), {"a": 1, "b": 1, "c": -1, "q": -1},
         "1,1,0,g", "0,0,1,e", J,
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "fw1_4r1q", "four-wave", "type-I four-wave mixing (4 resonators, 1 qubit)",
         2, False, ("a", "b", "c", "d"), ("q",), {"a": 1, "b": 1, "c": -1, "d": -1},
         "1,1,0,0,g", "0,0,1,1,g", J,
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "fw1_2r2q", "four-wave", "type-I four-wave mixing (2 resonators, 2 qubits)",
         2, False, ("a", "b"), ("q1", "q2"), {"a": 1, "b": 1, "q1": -1, "q2": -1},
         "1,1,g,g", "0,0,e,e", J,
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "fw1_1r3q", "four-wave", "type-I four-wave mixing (1 resonator, 3 qubits)",
         2, False, ("a",), ("q1", "q2", "q3"), {"a": 1, "q1": 1, "q2": -1, "q3": -1},
         "1,e,g,g", "0,g,e,e", J,
     ))
     # nondegenerate block: type II (3 in, 1 out)
-    e.append(_entry(
+    e.append(ProcessEntry(
         "fw2_3r1q", "four-wave", "type-II four-wave mixing (3 resonators, 1 qubit)",
         2, False, ("a", "b", "c"), ("q",), {"a": 1, "b": 1, "c": 1, "q": -1},
         "1,1,1,g", "0,0,0,e", R,
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "fw2_4r1q", "four-wave", "type-II four-wave mixing (4 resonators, 1 qubit)",
         2, False, ("a", "b", "c", "d"), ("q",), {"a": 1, "b": 1, "c": 1, "d": -1},
         "1,1,1,0,g", "0,0,0,1,g", R,
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "fw2_2r2q", "four-wave", "type-II four-wave mixing (2 resonators, 2 qubits)",
         2, False, ("a", "b"), ("q1", "q2"), {"a": 1, "b": -1, "q1": -1, "q2": -1},
         "0,1,e,e", "1,0,g,g", R,
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "fw2_1r3q", "four-wave", "type-II four-wave mixing (1 resonator, 3 qubits)",
         2, False, ("a",), ("q1", "q2", "q3"), {"a": 1, "q1": -1, "q2": -1, "q3": -1},
         "0,e,e,e", "1,g,g,g", R,
     ))
     # nondegenerate block: type III (1 in, 3 out)
-    e.append(_entry(
+    e.append(ProcessEntry(
         "fw3_3r1q", "four-wave", "type-III four-wave mixing (3 resonators, 1 qubit)",
         2, False, ("a", "b", "c"), ("q",), {"a": 1, "b": 1, "c": 1, "q": -1},
         "0,0,0,e", "1,1,1,g", R,
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "fw3_4r1q", "four-wave", "type-III four-wave mixing (4 resonators, 1 qubit)",
         2, False, ("a", "b", "c", "d"), ("q",), {"a": 1, "b": -1, "c": -1, "d": -1},
         "1,0,0,0,g", "0,1,1,1,g", R,
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "fw3_2r2q", "four-wave", "type-III four-wave mixing (2 resonators, 2 qubits)",
         2, False, ("a", "b"), ("q1", "q2"), {"a": 1, "b": -1, "q1": -1, "q2": -1},
         "1,0,g,g", "0,1,e,e", R,
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "fw3_1r3q", "four-wave", "type-III four-wave mixing (1 resonator, 3 qubits)",
         2, False, ("a",), ("q1", "q2", "q3"), {"a": 1, "q1": -1, "q2": -1, "q3": -1},
         "1,g,g,g", "0,e,e,e", R,
     ))
     # degenerate four-wave mixing with only two degenerate signals
-    e.append(_entry(
+    e.append(ProcessEntry(
         "fw1_deg2_3r1q", "four-wave", "type-I mixing, two degenerate inputs (3 resonators, 1 qubit)",
         None, True, ("a", "b", "c"), ("q",), {"a": 2, "b": -1, "c": -1},
         "2,0,0,g", "0,1,1,g", J,
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "fw23_deg2_3r1q", "four-wave", "type-II/III mixing, two degenerate signals (3 resonators, 1 qubit)",
         None, True, ("a", "b", "c"), ("q",), {"a": 2, "b": 1, "c": -1},
         "2,1,0,g", "0,0,1,g", R,
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "fw1_deg2_2r1q", "four-wave", "type-I mixing, two degenerate inputs (2 resonators, 1 qubit)",
         None, True, ("a", "b"), ("q",), {"a": 2, "b": -1, "q": -1},
         "2,0,g", "0,1,e", J,
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "fw23_deg2_2r1q", "four-wave", "type-II/III mixing, two degenerate signals (2 resonators, 1 qubit)",
         None, True, ("a", "b"), ("q",), {"a": 2, "b": 1, "q": -1},
         "2,1,g", "0,0,e", R,
         notes="final state carries the qubit excitation so that the bare "
               "energies balance",
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "fw1_deg2_1r2q", "four-wave", "type-I mixing, two degenerate inputs (1 resonator, 2 qubits)",
         None, True, ("a",), ("q1", "q2"), {"a": 2, "q1": -1, "q2": -1},
         "2,g,g", "0,e,e", J,
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "fw23_deg2_1r2q", "four-wave", "type-II/III mixing, two degenerate signals (1 resonator, 2 qubits)",
         None, True, ("a",), ("q1", "q2"), {"a": 2, "q1": 1, "q2": -1},
         "2,e,g", "0,g,e", R,
@@ -489,18 +460,18 @@ def higher_harmonic_entries(m: int):
     model = "rabi" if m % 2 == 0 else "generalized_rabi"
     k = m - 1
     e = []
-    e.append(_entry(
+    e.append(ProcessEntry(
         f"harmonic{k}_2r1q", "higher", f"{k}th-harmonic generation (2 resonators, 1 qubit)",
         None, True, ("a", "b"), ("q",), {"a": 1, "b": -k},
         "0," + str(k) + ",g", "1,0,g", model,
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         f"harmonic{k}_1r1q", "higher", f"{k}-photon Rabi oscillation (1 resonator, 1 qubit)",
         None, True, ("a",), ("q",), {"q": 1, "a": -k},
         str(k) + ",g", "0,e", model,
         notes="also the analogue of multiphoton absorption",
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         f"harmonic{k}_1r{k}q", "higher", f"{k}th-harmonic generation (1 resonator, {k} qubits)",
         None, True, ("a",), ("q",) * k, {"a": 1, "q": -k},
         "0," + ",".join(["e"] * k), "1," + ",".join(["g"] * k), model,
@@ -510,14 +481,14 @@ def higher_harmonic_entries(m: int):
 
 def _other_entries():
     e = []
-    e.append(_entry(
+    e.append(ProcessEntry(
         "kerr_dispersive", "other", "photon-photon Kerr interaction (dispersive JC)",
         None, False, ("a",), ("q",), {}, "1,g", "1,g", "jc",
         closed_form="kerr_dispersive",
         notes="diagonal fourth-order effect: photon-number-dependent frequency "
               "shift of the qubit-ground branch",
     ))
-    e.append(_entry(
+    e.append(ProcessEntry(
         "parametric_downconversion", "other", "degenerate parametric downconversion (2 resonators, 1 qubit)",
         None, True, ("a", "b"), ("q",), {"a": 1, "b": -2}, "1,0,g", "0,2,g",
         "generalized_rabi", closed_form="parametric_coupling", closed_form_only=True,
@@ -527,9 +498,9 @@ def _other_entries():
     return e
 
 
-def build_catalog(max_harmonic_order: int = DEFAULT_MAX_HARMONIC_ORDER):
+def build_catalog():
     entries = _three_wave_entries() + _four_wave_entries()
-    for m in range(5, max_harmonic_order + 1):
+    for m in range(5, DEFAULT_MAX_HARMONIC_ORDER + 1):
         entries.extend(higher_harmonic_entries(m))
     entries.extend(_other_entries())
     ids = [x.id for x in entries]
@@ -644,11 +615,11 @@ def build_system(
     frequencies: dict,
     coupling: float = 0.05,
     mixing_angle: float = math.pi / 6,
-    model: InteractionModel | None = None,
     n_max: int | None = None,
 ) -> SystemSpec:
-    """Instantiate a SystemSpec for an entry: every mode coupled to every
-    qubit with the same strength (and mixing angle, where relevant)."""
+    """Instantiate a SystemSpec for an entry under its ``eval_model``: every
+    mode coupled to every qubit with the same strength (and mixing angle,
+    where relevant)."""
     missing = [s for s in entry.symbols() if s not in frequencies]
     if missing:
         raise ConfigError(f"missing frequencies for {entry.id}: {missing}")
@@ -673,7 +644,7 @@ def build_system(
         modes=modes,
         qubits=qubits,
         couplings=couplings,
-        model=model if model is not None else entry.eval_model,
+        model=entry.eval_model,
     )
 
 
@@ -720,16 +691,13 @@ def _closed_form_params(entry: ProcessEntry, freqs: dict, g: float, theta: float
     return {name: values[name] for name in params}
 
 
-def verify_entry(
-    entry: ProcessEntry,
-    frequencies: dict | None = None,
-    coupling: float = 0.05,
-    mixing_angle: float = math.pi / 6,
-    n: int = 0,
-) -> VerifyReport:
+def verify_entry(entry: ProcessEntry, n: int = 0) -> VerifyReport:
     """Check one entry: symbolic energy balance, parity/model consistency,
     reachability under the required model, unreachability under every weaker
-    model, and path-sum vs closed form where a formula is registered."""
+    model, and path-sum vs closed form where a formula is registered, all at
+    :func:`default_frequencies` and :func:`build_system`'s default g and angle
+    (the Kerr entry at g = 0.02, angle 0, n_max 8).
+    """
     import warnings as _warnings
 
     report = VerifyReport(
@@ -749,17 +717,17 @@ def verify_entry(
             f"required model {entry.required_model.value} does not match "
             f"parity rule {entry.parity_model().value}"
         )
-    freqs = frequencies if frequencies is not None else default_frequencies(entry)
+    freqs = default_frequencies(entry)
 
     if entry.id == "kerr_dispersive":
         from .perturbation import dispersive_kerr_pathsum
 
-        spec = build_system(entry, freqs, coupling=min(coupling, 0.02),
-                            mixing_angle=0.0, n_max=8)
+        spec = build_system(entry, freqs, coupling=0.02, mixing_angle=0.0, n_max=8)
         space, hint = interaction_for(spec)
         num = dispersive_kerr_pathsum(space, hint)
+        c = spec.couplings[0]
         ana = closed_forms.closed_form_geff(
-            "kerr_dispersive", **_closed_form_params(entry, freqs, min(coupling, 0.02), 0.0)
+            "kerr_dispersive", **_closed_form_params(entry, freqs, c.strength, c.mixing_angle)
         )
         report.g_eff = num
         report.closed_form_value = ana
@@ -769,7 +737,7 @@ def verify_entry(
 
     i = entry.initial.instantiate(n)
     f = entry.final.instantiate(n)
-    spec = build_system(entry, freqs, coupling=coupling, mixing_angle=mixing_angle)
+    spec = build_system(entry, freqs)
     space, hint = interaction_for(spec)
     if spec.model is entry.required_model:
         rspace, rhint = space, hint
@@ -799,8 +767,9 @@ def verify_entry(
             _warnings.simplefilter("ignore")
             ec = effective_coupling(space, hint, i, f)
         report.g_eff = ec.value
+        c = spec.couplings[0]
         ana = closed_forms.closed_form_geff(
-            entry.closed_form, **_closed_form_params(entry, freqs, coupling, mixing_angle)
+            entry.closed_form, **_closed_form_params(entry, freqs, c.strength, c.mixing_angle)
         )
         report.closed_form_value = ana
         num = ec.value

@@ -10,7 +10,6 @@ partners. The result is exact up to floating-point rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ConfigError
 
@@ -84,12 +83,13 @@ def _merge_close(items):
     return merged
 
 
-def polarization_spectrum(tones, chi: Susceptibilities, drop_tol: float = 0.0):
+def polarization_spectrum(tones, chi: Susceptibilities):
     """Frequency components of the nonlinear polarization.
 
     Returns a sorted list of (frequency, amplitude) with nonnegative
-    frequencies, such that P(t) = sum A_k cos(w_k t). Components with
-    |amplitude| <= drop_tol are removed (exact zeros always are).
+    frequencies, such that P(t) = sum A_k cos(w_k t). Components whose
+    amplitudes cancel to exactly zero are removed; frequencies within
+    :data:`MERGE_TOL` are merged first.
     """
     if len(tones) > 3:
         raise ConfigError(f"at most 3 tones supported, got {len(tones)}")
@@ -109,8 +109,7 @@ def polarization_spectrum(tones, chi: Susceptibilities, drop_tol: float = 0.0):
     accumulate(cubed, chi.epsilon0 * chi.chi3)
 
     folded = _fold(total)
-    out = [(f, v) for f, v in _merge_close(folded.items()) if v != 0.0 and abs(v) > drop_tol]
-    return out
+    return [(f, v) for f, v in _merge_close(folded.items()) if abs(v) > 0.0]
 
 
 def evaluate_polarization(components, t):

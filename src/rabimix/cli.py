@@ -188,10 +188,8 @@ def cmd_verify(args) -> int:
     sec = _optional_section(args, "verify")
     ids = list(args.process or []) + (sec["processes"] or [])
     if args.all_closed_forms or sec["all_closed_forms"]:
-        ids += [
-            e.id for e in cat.CATALOG
-            if e.closed_form is not None and e.id not in ids
-        ]
+        ids += [e.id for e in cat.CATALOG if e.closed_form is not None]
+    ids = list(dict.fromkeys(ids))  # each process once, in order of first mention
     if not ids:
         raise ConfigError(
             "nothing to verify: give --process, --all-closed-forms or a "

@@ -99,15 +99,13 @@ class EffectiveCoupling:
     value: float
     order: int
     path_count: int
-    #: (space, h_int, i, f, degeneracy_tol) the value was computed from
+    #: (space, h_int, i, f) the value was computed from
     source: tuple = field(default=None, repr=False, compare=False)
 
     @cached_property
     def paths(self) -> tuple[TransitionPath, ...]:
-        space, h_int, i, f, degeneracy_tol = self.source
-        return enumerate_paths(
-            space, h_int, i, f, order=self.order, degeneracy_tol=degeneracy_tol
-        )
+        space, h_int, i, f = self.source
+        return enumerate_paths(space, h_int, i, f, order=self.order)
 
 
 def shortest_order(
@@ -150,14 +148,14 @@ def _order(space, h_int, i: int, f: int, order: int | None) -> int:
     return int(order)
 
 
-def _exclusions(space: HilbertSpace, i: int, f: int, degeneracy_tol: float):
+def _exclusions(space: HilbertSpace, i: int, f: int):
     """Intermediates a path may visit, and the resolvent on them.
 
-    ``allowed[j]`` is False at i, at f and where |E_i - E_j| < degeneracy_tol;
+    ``allowed[j]`` is False at i, at f and where |E_i - E_j| < DEGENERACY_TOL;
     ``r[j]`` is 1 / (E_i - E_j) where allowed and 0 elsewhere.
     """
     d = space.energies[i] - space.energies
-    allowed = np.abs(d) >= degeneracy_tol
+    allowed = np.abs(d) >= DEGENERACY_TOL
     allowed[[i, f]] = False
     r = np.zeros_like(d)
     np.divide(1.0, d, out=r, where=allowed)
@@ -184,7 +182,7 @@ def _walk_counts(pattern: sp.csr_matrix, allowed: np.ndarray, start: int, steps:
     return counts
 
 
-def _check_blocked(space, pattern, allowed, i, f, n, degeneracy_tol) -> None:
+def _check_blocked(space, pattern, allowed, i, f, n) -> None:
     """Raise :class:`DegenerateIntermediateError` when an order-n walk from i
     meets an intermediate degenerate with i; call it once no allowed walk
     reaches f. The state named is the first such intermediate in
@@ -205,7 +203,7 @@ def _check_blocked(space, pattern, allowed, i, f, n, degeneracy_tol) -> None:
                 raise DegenerateIntermediateError(
                     f"all order-{n} paths from {space.state(i)} to {space.state(f)} are "
                     f"blocked by an intermediate degenerate with the initial state: "
-                    f"{space.state(k)} (|E_i - E_j| < {degeneracy_tol})",
+                    f"{space.state(k)} (|E_i - E_j| < {DEGENERACY_TOL})",
                     state=space.state(k),
                 )
             if allowed[k] and hits[s - 1][k]:
@@ -213,14 +211,14 @@ def _check_blocked(space, pattern, allowed, i, f, n, degeneracy_tol) -> None:
                 break
 
 
-def _path_sum(space, h_int, i, f, n, degeneracy_tol) -> tuple[float, int]:
+def _path_sum(space, h_int, i, f, n) -> tuple[float, int]:
     """(<f| V (R V)^(n-1) |i>, number of order-n paths i -> f).
 
     Both chains are sparse matrix-vector products in the fixed CSR order of
     ``h_int``, so the result is deterministic.
     """
     m = h_int.matrix
-    allowed, r = _exclusions(space, i, f, degeneracy_tol)
+    allowed, r = _exclusions(space, i, f)
     x = np.zeros(m.shape[0])
     x[i] = 1.0
     for _ in range(n - 1):
@@ -228,7 +226,7 @@ def _path_sum(space, h_int, i, f, n, degeneracy_tol) -> tuple[float, int]:
     value = float((m @ x)[f])
     count = int(_walk_counts(h_int.pattern, allowed, i, n)[-1][f])
     if count == 0:
-        _check_blocked(space, h_int.pattern, allowed, i, f, n, degeneracy_tol)
+        _check_blocked(space, h_int.pattern, allowed, i, f, n)
     return value, count
 
 
@@ -238,26 +236,26 @@ def enumerate_paths(
     i,
     f,
     order: int | None = None,
-    degeneracy_tol: float = DEGENERACY_TOL,
 ) -> tuple[TransitionPath, ...]:
     """All order-step paths i -> ... -> f through nondegenerate intermediates.
 
     Intermediates may revisit states but may not be i or f themselves, and
-    must satisfy |E_i - E_j| >= degeneracy_tol. Paths come in lexicographic
-    order of their state-index sequences. The walk counts of
-    :func:`effective_coupling`'s count chain prune every branch that cannot
-    reach f, so the cost is proportional to the number of paths; more than
-    :data:`PATH_CAP` paths raise :class:`CapacityError` before any is built.
+    must satisfy |E_i - E_j| >= :data:`DEGENERACY_TOL` (read when the function
+    runs). Paths come in lexicographic order of their state-index sequences.
+    The walk counts of :func:`effective_coupling`'s count chain prune every
+    branch that cannot reach f, so the cost is proportional to the number of
+    paths; more than :data:`PATH_CAP` paths raise :class:`CapacityError`
+    before any is built.
     """
     i = space.index(i)
     f = space.index(f)
     n = _order(space, h_int, i, f, order)
     m = h_int.matrix
-    allowed, _ = _exclusions(space, i, f, degeneracy_tol)
+    allowed, _ = _exclusions(space, i, f)
     to_f = _walk_counts(h_int.pattern, allowed, f, n)
     count = int(to_f[-1][i])
     if count == 0:
-        _check_blocked(space, h_int.pattern, allowed, i, f, n, degeneracy_tol)
+        _check_blocked(space, h_int.pattern, allowed, i, f, n)
         return ()
     if count > PATH_CAP:
         raise CapacityError(
@@ -292,15 +290,17 @@ def effective_coupling(
     i,
     f,
     order: int | None = None,
-    degeneracy_tol: float = DEGENERACY_TOL,
 ) -> EffectiveCoupling:
     """Lowest-order path-sum effective coupling between bare states i and f.
 
     The value is the resolvent chain <f| V (R V)^(n-1) |i> and the path
     count the same chain on the sparsity pattern, both summed in the fixed
     CSR order of ``h_int``, so the result is deterministic. No path is
-    listed until ``.paths`` is read. A warning (not an error) is issued when
-    the endpoint energies differ by more than the resonance tolerance.
+    listed until ``.paths`` is read. Intermediates with |E_i - E_j| <
+    :data:`DEGENERACY_TOL` are excluded, and when that blocks every path
+    :class:`DegenerateIntermediateError` names the first one. A warning (not
+    an error) is issued when |E_i - E_f| > :data:`RESONANCE_TOL`. Both
+    constants are read when the function runs.
     """
     i = space.index(i)
     f = space.index(f)
@@ -312,10 +312,9 @@ def effective_coupling(
             stacklevel=2,
         )
     n = _order(space, h_int, i, f, order)
-    value, count = _path_sum(space, h_int, i, f, n, degeneracy_tol)
+    value, count = _path_sum(space, h_int, i, f, n)
     return EffectiveCoupling(
-        value=value, order=n, path_count=count,
-        source=(space, h_int, i, f, degeneracy_tol),
+        value=value, order=n, path_count=count, source=(space, h_int, i, f)
     )
 
 
@@ -337,11 +336,12 @@ def stimulated_ratio(space: HilbertSpace, h_int: HermitianOperator, n: int) -> f
     For a two-mode + one-qubit setup the single photon-adding hop in each
     path picks up sqrt(n+1), so
     |g_eff(|1,n,g> -> |0,n+1,e>)| / |g_eff(|1,0,g> -> |0,1,e>)| = sqrt(n+1).
+    n < 0 or another setup is a :class:`DomainError`.
     """
     if n < 0:
-        raise CapacityError("spectator photon number must be >= 0")
+        raise DomainError("spectator photon number must be >= 0")
     if len(space.modes) != 2 or len(space.qubits) != 1:
-        raise CapacityError("stimulated_ratio expects a two-mode, one-qubit space")
+        raise DomainError("stimulated_ratio expects a two-mode, one-qubit space")
     if n + 1 > space.modes[1].n_max:
         raise CapacityError(
             f"n_max={space.modes[1].n_max} of mode {space.modes[1].label!r} cannot "
@@ -363,27 +363,27 @@ def diagonal_shift(
     h_int: HermitianOperator,
     state,
     order: int = 4,
-    degeneracy_tol: float = DEGENERACY_TOL,
 ) -> float:
     """Rayleigh-Schroedinger energy correction of a nondegenerate bare level.
 
     Order 2:  sum_j |V_ij|^2 / (E_i - E_j)
     Order 4:  sum_{jkl} V_ij V_jk V_kl V_li / (D_j D_k D_l)
               - E2 * sum_j |V_ij|^2 / D_j^2
-    with all intermediates != i and D_j = E_i - E_j. Returns the correction
-    of the requested order only. The fourth-order sum is the resolvent chain
-    of :func:`effective_coupling` with f = i.
+    with all intermediates != i and D_j = E_i - E_j, excluding those with
+    |D_j| < :data:`DEGENERACY_TOL`. Returns the correction of the requested
+    order only; other orders raise :class:`DomainError`. The fourth-order
+    sum is the resolvent chain of :func:`effective_coupling` with f = i.
     """
     if order not in (2, 4):
-        raise CapacityError("diagonal_shift supports orders 2 and 4")
+        raise DomainError("diagonal_shift supports orders 2 and 4")
     i = space.index(state)
     m = h_int.matrix
-    _, r = _exclusions(space, i, i, degeneracy_tol)
+    _, r = _exclusions(space, i, i)
     v2 = m[i].toarray().ravel() ** 2  # |V_ij|^2, H real symmetric
     e2 = float(np.sum(v2 * r))
     if order == 2:
         return e2
-    e4, _ = _path_sum(space, h_int, i, i, 4, degeneracy_tol)
+    e4, _ = _path_sum(space, h_int, i, i, 4)
     return e4 - e2 * float(np.sum(v2 * r * r))
 
 
@@ -401,7 +401,7 @@ def dispersive_kerr_pathsum(space: HilbertSpace, h_int: HermitianOperator) -> fl
     return 0.25 * (d1 + d2)
 
 
-def interaction_for(spec: SystemSpec, space: HilbertSpace | None = None) -> tuple[HilbertSpace, HermitianOperator]:
+def interaction_for(spec: SystemSpec) -> tuple[HilbertSpace, HermitianOperator]:
     """Convenience: build (space, H_int) for a system spec."""
-    space = space or build_space(spec)
+    space = build_space(spec)
     return space, build_hint(space, spec.couplings, spec.model)

@@ -11,7 +11,7 @@ the gap minimum is the root of its Hellmann-Feynman slope.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -373,6 +373,10 @@ def kerr_shift_numeric(spec: SystemSpec) -> float:
     certified by :func:`eigensystem` like every other read, so eigenpairs
     that miss one raise :class:`CapacityError`.
     """
+    if len(spec.modes) != 1 or len(spec.qubits) != 1:
+        raise DomainError("kerr_shift_numeric expects one mode and one qubit")
+    if spec.modes[0].n_max < 3:
+        raise CapacityError("kerr_shift_numeric needs n_max >= 3")
     space = build_space(spec)
     for c in spec.couplings:
         det = abs(spec.mode(c.mode_label).frequency - spec.qubit(c.qubit_label).frequency)
@@ -383,10 +387,6 @@ def kerr_shift_numeric(spec: SystemSpec) -> float:
                 "the Kerr estimate is unreliable",
                 stacklevel=2,
             )
-    if len(spec.modes) != 1 or len(spec.qubits) != 1:
-        raise DomainError("kerr_shift_numeric expects one mode and one qubit")
-    if spec.modes[0].n_max < 3:
-        raise CapacityError("kerr_shift_numeric needs n_max >= 3")
     rows = [space.index(BasisState((n,), ("g",))) for n in range(4)]
     vals, vecs = eigensystem(build_hamiltonian(space), rows)
     energies = [vals[int(np.argmax(vecs[r] ** 2))] for r in rows]

@@ -9,7 +9,7 @@ single input from which Hilbert spaces and Hamiltonians are built.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 

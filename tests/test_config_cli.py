@@ -302,3 +302,14 @@ def test_cli_geff_explain_path_cap_edge(tmp_path, capsys, monkeypatch):
     assert main(["geff", "-c", cfg, "--explain", "-o", str(out)]) == 3
     assert "capacity error: 12 order-3 paths" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_verify_counts_each_process_once(tmp_path, capsys):
+    """Ids repeated across --process flags and the config are verified once,
+    in order of first mention."""
+    cfg = write_config(tmp_path, {"verify": {"processes": ["shg_1r1q", "shg_2r1q"]}})
+    argv = ["verify", "-c", cfg, "--process", "shg_1r1q", "--process", "shg_1r1q"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines[:-1]] == ["shg_1r1q", "shg_2r1q"]
+    assert lines[-1] == "verified 2 processes, 0 failures"

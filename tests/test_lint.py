@@ -1,0 +1,79 @@
+"""Static guards over the package source, by ``ast``.
+
+- No public function takes a ``*_tol`` parameter: tolerances are module
+  constants, read when the function runs, so each is stated once and a
+  test can move it to its edge.
+- No function binds a tolerance constant as a default, and no module
+  imports one by name (either copy would not see the module constant move).
+- No module imports a name it never uses (``__init__`` re-exports).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "rabimix"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def is_tolerance(name: str) -> bool:
+    return name.endswith("_TOL") or name == "OVERLAP_AMBIGUITY"
+
+
+def tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def functions(module: ast.Module):
+    return [n for n in ast.walk(module) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_public_function_takes_a_tolerance(path):
+    offenders = []
+    for fn in functions(tree(path)):
+        if fn.name.startswith("_"):
+            continue
+        a = fn.args
+        for arg in a.posonlyargs + a.args + a.kwonlyargs:
+            if arg.arg.endswith("_tol"):
+                offenders.append(f"{fn.name}({arg.arg})")
+    assert offenders == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_tolerances_are_read_at_call_time(path):
+    module = tree(path)
+    offenders = []
+    for fn in functions(module):
+        for default in fn.args.defaults + [d for d in fn.args.kw_defaults if d is not None]:
+            offenders += [f"{fn.name} default {n.id}" for n in ast.walk(default)
+                          if isinstance(n, ast.Name) and is_tolerance(n.id)]
+    if path.name != "__init__.py":
+        for node in ast.walk(module):
+            if isinstance(node, ast.ImportFrom):
+                offenders += [f"imports {a.name}" for a in node.names if is_tolerance(a.name)]
+    assert offenders == []
+
+
+def imported_names(module: ast.Module):
+    """(bound name, source line) for every import outside ``__future__``."""
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                yield a.asname or a.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                yield a.asname or a.name, node.lineno
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unused_imports(path):
+    module = tree(path)
+    used = {n.id for n in ast.walk(module) if isinstance(n, ast.Name)}
+    unused = [f"{name} (line {line})" for name, line in imported_names(module)
+              if name not in used]
+    assert unused == []
