@@ -35,11 +35,11 @@ def main():
         entry = get_process(pid)
         freqs = default_frequencies(entry)
         spec = build_system(entry, freqs)
-        space, hint = interaction_for(spec)
+        hint = interaction_for(spec)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             ec = effective_coupling(
-                space, hint, entry.initial.instantiate(0), entry.final.instantiate(0)
+                hint, entry.initial.instantiate(0), entry.final.instantiate(0)
             )
         biggest = max(abs(p.contribution) for p in ec.paths)
         print(f"  {pid}: |sum over {len(ec.paths)} paths| = {abs(ec.value):.2e}, "

@@ -723,8 +723,7 @@ def verify_entry(entry: ProcessEntry, n: int = 0) -> VerifyReport:
         from .perturbation import dispersive_kerr_pathsum
 
         spec = build_system(entry, freqs, coupling=0.02, mixing_angle=0.0, n_max=8)
-        space, hint = interaction_for(spec)
-        num = dispersive_kerr_pathsum(space, hint)
+        num = dispersive_kerr_pathsum(interaction_for(spec))
         c = spec.couplings[0]
         ana = closed_forms.closed_form_geff(
             "kerr_dispersive", **_closed_form_params(entry, freqs, c.strength, c.mixing_angle)
@@ -738,13 +737,13 @@ def verify_entry(entry: ProcessEntry, n: int = 0) -> VerifyReport:
     i = entry.initial.instantiate(n)
     f = entry.final.instantiate(n)
     spec = build_system(entry, freqs)
-    space, hint = interaction_for(spec)
+    hint = interaction_for(spec)
     if spec.model is entry.required_model:
-        rspace, rhint = space, hint
+        rhint = hint
     else:
-        rspace, rhint = interaction_for(spec.with_model(entry.required_model))
+        rhint = interaction_for(spec.with_model(entry.required_model))
     try:
-        shortest_order(rspace, rhint, i, f)
+        shortest_order(rhint, i, f)
         report.reachable = True
     except UnreachableError:
         report.reachable = False
@@ -752,10 +751,9 @@ def verify_entry(entry: ProcessEntry, n: int = 0) -> VerifyReport:
 
     weaker_ok = True
     for wm in weaker_models(entry.required_model):
-        wspec = spec.with_model(wm)
-        wspace, whint = interaction_for(wspec)
+        whint = interaction_for(spec.with_model(wm))
         try:
-            shortest_order(wspace, whint, i, f)
+            shortest_order(whint, i, f)
             weaker_ok = False
             report.messages.append(f"transition reachable under weaker model {wm.value}")
         except UnreachableError:
@@ -765,7 +763,7 @@ def verify_entry(entry: ProcessEntry, n: int = 0) -> VerifyReport:
     if entry.closed_form and not entry.closed_form_only and report.reachable:
         with _warnings.catch_warnings():
             _warnings.simplefilter("ignore")
-            ec = effective_coupling(space, hint, i, f)
+            ec = effective_coupling(hint, i, f)
         report.g_eff = ec.value
         c = spec.couplings[0]
         ana = closed_forms.closed_form_geff(

@@ -95,10 +95,8 @@ def _fmt(x: float) -> str:
 def cmd_geff(args) -> int:
     config = _load_config(args)
     sec = config.section("geff")
-    space, hint = interaction_for(config.system)
-    result = effective_coupling(
-        space, hint, sec["initial"], sec["final"], order=sec["order"]
-    )
+    hint = interaction_for(config.system)
+    result = effective_coupling(hint, sec["initial"], sec["final"], order=sec["order"])
     g = result.value
     lines = [
         f"initial: {sec['initial'].label()}",
@@ -112,7 +110,7 @@ def cmd_geff(args) -> int:
     if args.explain:
         lines.append("contributions:")
         for p in result.paths:
-            lines.append("  " + p.describe(space))
+            lines.append("  " + p.describe(hint.space))
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigError
 from .hilbert import HilbertSpace
-from .system import CouplingSpec, InteractionModel
+from .system import InteractionModel
 
 
 @dataclass(frozen=True)
@@ -145,12 +145,8 @@ def parity_operator(space: HilbertSpace) -> HermitianOperator:
     return _diagonal(space, 1.0 - 2.0 * (space.excitation_numbers % 2))
 
 
-def build_hint(
-    space: HilbertSpace,
-    couplings: tuple[CouplingSpec, ...],
-    model: InteractionModel,
-) -> HermitianOperator:
-    """Interaction Hamiltonian for the given couplings and model.
+def build_hint(space: HilbertSpace) -> HermitianOperator:
+    """Interaction Hamiltonian of the couplings and model of ``space.spec``.
 
     Per coupling of strength g between mode m and qubit q:
 
@@ -167,10 +163,10 @@ def build_hint(
     comes from one product amplitude * sqrt(n), the same for a hop and its
     reverse, which makes H exactly symmetric in pattern and value.
     """
-    model = InteractionModel.parse(model)
+    model = space.spec.model
     flips = {}  # (mode, qubit) -> summed transversal strength
     sz_counts = {}  # (mode, g_z) -> integer sum of sigma_z over those qubits
-    for c in couplings:
+    for c in space.spec.couplings:
         g = c.strength
         if g == 0.0:
             continue
@@ -237,7 +233,7 @@ def build_hint(
 
 def build_hamiltonian(space: HilbertSpace) -> HermitianOperator:
     """Full Hamiltonian H0 + Hint of the space's system spec."""
-    return build_h0(space) + build_hint(space, space.spec.couplings, space.spec.model)
+    return build_h0(space) + build_hint(space)
 
 
 def commutator_norm(a: HermitianOperator, b: HermitianOperator) -> float:

@@ -99,17 +99,16 @@ class EffectiveCoupling:
     value: float
     order: int
     path_count: int
-    #: (space, h_int, i, f) the value was computed from
+    #: (h_int, i, f) the value was computed from
     source: tuple = field(default=None, repr=False, compare=False)
 
     @cached_property
     def paths(self) -> tuple[TransitionPath, ...]:
-        space, h_int, i, f = self.source
-        return enumerate_paths(space, h_int, i, f, order=self.order)
+        h_int, i, f = self.source
+        return enumerate_paths(h_int, i, f, order=self.order)
 
 
 def shortest_order(
-    space: HilbertSpace,
     h_int: HermitianOperator,
     i,
     f,
@@ -121,8 +120,9 @@ def shortest_order(
     entries of H_int from i reaches f: the count chain of
     :func:`effective_coupling` on a boolean frontier (the states within t
     hops), with no exclusions, stopped at the first hit. Energy denominators
-    are ignored at this stage.
+    are ignored at this stage. States are read in ``h_int.space``.
     """
+    space = h_int.space
     i = space.index(i)
     f = space.index(f)
     if i == f:
@@ -139,10 +139,10 @@ def shortest_order(
     )
 
 
-def _order(space, h_int, i: int, f: int, order: int | None) -> int:
+def _order(h_int, i: int, f: int, order: int | None) -> int:
     """The given path order, or the shortest one connecting i to f."""
     if order is None:
-        return shortest_order(space, h_int, i, f)
+        return shortest_order(h_int, i, f)
     if int(order) < 1:
         raise DomainError(f"path order must be >= 1, got {order}")
     return int(order)
@@ -211,12 +211,13 @@ def _check_blocked(space, pattern, allowed, i, f, n) -> None:
                 break
 
 
-def _path_sum(space, h_int, i, f, n) -> tuple[float, int]:
+def _path_sum(h_int, i, f, n) -> tuple[float, int]:
     """(<f| V (R V)^(n-1) |i>, number of order-n paths i -> f).
 
     Both chains are sparse matrix-vector products in the fixed CSR order of
     ``h_int``, so the result is deterministic.
     """
+    space = h_int.space
     m = h_int.matrix
     allowed, r = _exclusions(space, i, f)
     x = np.zeros(m.shape[0])
@@ -231,7 +232,6 @@ def _path_sum(space, h_int, i, f, n) -> tuple[float, int]:
 
 
 def enumerate_paths(
-    space: HilbertSpace,
     h_int: HermitianOperator,
     i,
     f,
@@ -245,11 +245,12 @@ def enumerate_paths(
     The walk counts of :func:`effective_coupling`'s count chain prune every
     branch that cannot reach f, so the cost is proportional to the number of
     paths; more than :data:`PATH_CAP` paths raise :class:`CapacityError`
-    before any is built.
+    before any is built. States and energies are read in ``h_int.space``.
     """
+    space = h_int.space
     i = space.index(i)
     f = space.index(f)
-    n = _order(space, h_int, i, f, order)
+    n = _order(h_int, i, f, order)
     m = h_int.matrix
     allowed, _ = _exclusions(space, i, f)
     to_f = _walk_counts(h_int.pattern, allowed, f, n)
@@ -285,7 +286,6 @@ def enumerate_paths(
 
 
 def effective_coupling(
-    space: HilbertSpace,
     h_int: HermitianOperator,
     i,
     f,
@@ -300,8 +300,10 @@ def effective_coupling(
     :data:`DEGENERACY_TOL` are excluded, and when that blocks every path
     :class:`DegenerateIntermediateError` names the first one. A warning (not
     an error) is issued when |E_i - E_f| > :data:`RESONANCE_TOL`. Both
-    constants are read when the function runs.
+    constants are read when the function runs. States and bare energies are
+    those of ``h_int.space``, so the operator alone describes the system.
     """
+    space = h_int.space
     i = space.index(i)
     f = space.index(f)
     if abs(space.energies[i] - space.energies[f]) > RESONANCE_TOL:
@@ -311,11 +313,9 @@ def effective_coupling(
             "evaluated with the initial-state energy in the denominators",
             stacklevel=2,
         )
-    n = _order(space, h_int, i, f, order)
-    value, count = _path_sum(space, h_int, i, f, n)
-    return EffectiveCoupling(
-        value=value, order=n, path_count=count, source=(space, h_int, i, f)
-    )
+    n = _order(h_int, i, f, order)
+    value, count = _path_sum(h_int, i, f, n)
+    return EffectiveCoupling(value=value, order=n, path_count=count, source=(h_int, i, f))
 
 
 def sigma_z_only_paths(
@@ -330,14 +330,15 @@ def sigma_z_only_paths(
     return tuple(out)
 
 
-def stimulated_ratio(space: HilbertSpace, h_int: HermitianOperator, n: int) -> float:
+def stimulated_ratio(h_int: HermitianOperator, n: int) -> float:
     """Rate enhancement of frequency conversion by n spectator photons.
 
     For a two-mode + one-qubit setup the single photon-adding hop in each
     path picks up sqrt(n+1), so
     |g_eff(|1,n,g> -> |0,n+1,e>)| / |g_eff(|1,0,g> -> |0,1,e>)| = sqrt(n+1).
-    n < 0 or another setup is a :class:`DomainError`.
+    n < 0 or another setup (of ``h_int.space``) is a :class:`DomainError`.
     """
+    space = h_int.space
     if n < 0:
         raise DomainError("spectator photon number must be >= 0")
     if len(space.modes) != 2 or len(space.qubits) != 1:
@@ -353,13 +354,12 @@ def stimulated_ratio(space: HilbertSpace, h_int: HermitianOperator, n: int) -> f
     stim_f = BasisState((0, n + 1), ("e",))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        g0 = effective_coupling(space, h_int, base_i, base_f).value
-        gn = effective_coupling(space, h_int, stim_i, stim_f).value
+        g0 = effective_coupling(h_int, base_i, base_f).value
+        gn = effective_coupling(h_int, stim_i, stim_f).value
     return abs(gn) / abs(g0)
 
 
 def diagonal_shift(
-    space: HilbertSpace,
     h_int: HermitianOperator,
     state,
     order: int = 4,
@@ -373,35 +373,34 @@ def diagonal_shift(
     |D_j| < :data:`DEGENERACY_TOL`. Returns the correction of the requested
     order only; other orders raise :class:`DomainError`. The fourth-order
     sum is the resolvent chain of :func:`effective_coupling` with f = i.
+    The level and its energies are those of ``h_int.space``.
     """
     if order not in (2, 4):
         raise DomainError("diagonal_shift supports orders 2 and 4")
-    i = space.index(state)
+    i = h_int.space.index(state)
     m = h_int.matrix
-    _, r = _exclusions(space, i, i)
+    _, r = _exclusions(h_int.space, i, i)
     v2 = m[i].toarray().ravel() ** 2  # |V_ij|^2, H real symmetric
     e2 = float(np.sum(v2 * r))
     if order == 2:
         return e2
-    e4, _ = _path_sum(space, h_int, i, i, 4)
+    e4, _ = _path_sum(h_int, i, i, 4)
     return e4 - e2 * float(np.sum(v2 * r * r))
 
 
-def dispersive_kerr_pathsum(space: HilbertSpace, h_int: HermitianOperator) -> float:
+def dispersive_kerr_pathsum(h_int: HermitianOperator) -> float:
     """Photon-number curvature of the qubit-ground branch from fourth-order
-    perturbation theory: half the second difference of the level shifts.
+    perturbation theory: half the second difference of the level shifts of
+    the one-mode, one-qubit system ``h_int`` acts on.
 
     Under the JC interaction this equals -g^4/(omega_a - omega_q)^3 exactly.
     """
-    shifts = [
-        diagonal_shift(space, h_int, BasisState((n,), ("g",)), order=4) for n in range(4)
-    ]
+    shifts = [diagonal_shift(h_int, BasisState((n,), ("g",)), order=4) for n in range(4)]
     d1 = shifts[2] - 2 * shifts[1] + shifts[0]
     d2 = shifts[3] - 2 * shifts[2] + shifts[1]
     return 0.25 * (d1 + d2)
 
 
-def interaction_for(spec: SystemSpec) -> tuple[HilbertSpace, HermitianOperator]:
-    """Convenience: build (space, H_int) for a system spec."""
-    space = build_space(spec)
-    return space, build_hint(space, spec.couplings, spec.model)
+def interaction_for(spec: SystemSpec) -> HermitianOperator:
+    """H_int of a system spec, on the space built from it (``.space``)."""
+    return build_hint(build_space(spec))

@@ -11,7 +11,7 @@ the gap minimum is the root of its Hellmann-Feynman slope.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -21,7 +21,7 @@ import scipy.sparse.linalg
 from .errors import BracketingError, CapacityError, ConfigError, DomainError
 from .hamiltonian import HermitianOperator, build_hamiltonian, build_hint
 from .hilbert import BasisState, HilbertSpace, build_space
-from .perturbation import effective_coupling
+from .perturbation import effective_coupling, interaction_for
 from .system import SystemSpec
 
 #: Largest dimension handled by the dense solver.
@@ -122,7 +122,8 @@ def parameter_derivative(space: HilbertSpace, parameter: str) -> sp.csr_matrix:
     """dH/dv for the sweep parameter v on ``space``: diag(n_m) for
     ``mode:m``, diag(s_q - 1/2) for ``qubit:q`` (s_q = 1 for e), and for
     ``coupling:m`` the interaction of mode m's couplings at unit strength,
-    since Hint is linear in the strength."""
+    since Hint is linear in the strength: ``build_hint`` on a space built
+    from the spec with only those couplings, once per sweep."""
     kind, _, label = parameter.partition(":")
     if kind == "mode":
         return sp.diags(space.occupation_table[:, space.mode_index(label)] * 1.0, format="csr")
@@ -130,7 +131,7 @@ def parameter_derivative(space: HilbertSpace, parameter: str) -> sp.csr_matrix:
         return sp.diags(space.qubit_table[:, space.qubit_index(label)] - 0.5, format="csr")
     unit = apply_parameter(space.spec, parameter, 1.0)  # raises for an unknown kind
     mine = tuple(c for c in unit.couplings if c.mode_label == label)
-    return build_hint(space, mine, unit.model).matrix
+    return build_hint(build_space(replace(unit, couplings=mine))).matrix
 
 
 class SweepHamiltonian:
@@ -261,9 +262,10 @@ def subspace_gap(spec: SystemSpec, a: BasisState, b: BasisState) -> float:
 
 
 def bare_resonance_parameter(sweep: SweepSpec, a: BasisState, b: BasisState) -> float:
-    """Parameter value where the bare energies of ``a`` and ``b`` coincide,
-    found by bisection over the sweep range."""
-    import scipy.optimize  # deferred: it adds half again to `import rabimix`
+    """Parameter value in the sweep range where the bare energies of ``a``
+    and ``b`` coincide. Bare energies are affine in a mode or qubit frequency
+    and constant in a coupling strength, so the difference is a straight
+    line and its root is read off the two ends of the range."""
 
     def de(v):
         space = build_space(sweep.spec_at(v))
@@ -279,7 +281,7 @@ def bare_resonance_parameter(sweep: SweepSpec, a: BasisState, b: BasisState) -> 
         raise BracketingError(
             f"bare energies of {a} and {b} do not cross in [{lo}, {hi}]"
         )
-    return float(scipy.optimize.brentq(de, lo, hi, xtol=1e-14, rtol=1e-15))
+    return float(lo - flo * (hi - lo) / (fhi - flo))
 
 
 def find_avoided_crossing(
@@ -337,12 +339,9 @@ def find_avoided_crossing(
 
     v_res = bare_resonance_parameter(sweep, level_a, level_b)
     spec_res = sweep.spec_at(v_res)
-    from .perturbation import interaction_for
-
-    space, hint = interaction_for(spec_res)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        g = effective_coupling(space, hint, level_a, level_b).value
+        g = effective_coupling(interaction_for(spec_res), level_a, level_b).value
     return CrossingReport(parameter=v_min, gap=gap, predicted=2.0 * abs(g), g_eff=g)
 
 

@@ -114,7 +114,9 @@ class CouplingSpec:
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """Full declarative system description."""
+    """Full declarative system description. ``model`` may be given by name
+    ("jc", "rabi", "generalized_rabi"); it is parsed on construction, so an
+    unknown name raises :class:`ConfigError` here."""
 
     modes: tuple[ModeSpec, ...] = ()
     qubits: tuple[QubitSpec, ...] = ()
@@ -125,6 +127,7 @@ class SystemSpec:
         object.__setattr__(self, "modes", tuple(self.modes))
         object.__setattr__(self, "qubits", tuple(self.qubits))
         object.__setattr__(self, "couplings", tuple(self.couplings))
+        object.__setattr__(self, "model", InteractionModel.parse(self.model))
         errors = []
         if not self.modes and not self.qubits:
             errors.append("system needs at least one mode or one qubit")
@@ -184,7 +187,7 @@ class SystemSpec:
         return replace(self, couplings=couplings)
 
     def with_model(self, model: InteractionModel) -> "SystemSpec":
-        return replace(self, model=InteractionModel.parse(model))
+        return replace(self, model=model)
 
     def with_nmax_increment(self, step: int) -> "SystemSpec":
         modes = tuple(replace(m, n_max=m.n_max + step) for m in self.modes)

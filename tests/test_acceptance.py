@@ -104,11 +104,11 @@ def test_criterion_1_closed_form_oracle_suite():
             freqs = dict(freqs, **{sym: freqs[sym] * factor})
             g, theta = 0.04, math.pi / 6
             spec = build_system(entry, freqs, coupling=g, mixing_angle=theta)
-            space, hint = interaction_for(spec)
+            hint = interaction_for(spec)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 num = effective_coupling(
-                    space, hint, entry.initial.instantiate(0), entry.final.instantiate(0)
+                    hint, entry.initial.instantiate(0), entry.final.instantiate(0)
                 ).value.real
             ana = closed_form_geff(
                 entry.closed_form, **_closed_form_params(entry, freqs, g, theta)
@@ -128,11 +128,11 @@ def test_criterion_2_destructive_interference_zeros():
         entry = get_process(pid)
         freqs = default_frequencies(entry)
         spec = build_system(entry, freqs, coupling=g)
-        space, hint = interaction_for(spec)
+        hint = interaction_for(spec)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             ec = effective_coupling(
-                space, hint, entry.initial.instantiate(0), entry.final.instantiate(0)
+                hint, entry.initial.instantiate(0), entry.final.instantiate(0)
             )
         w_ref = max(freqs[s] for s in entry.symbols())
         floor = 1e-4 * (g / w_ref) ** (order_n - 1)
@@ -228,10 +228,10 @@ def test_criterion_5_stimulated_scaling():
         ),
         model=InteractionModel.GENERALIZED_RABI,
     )
-    space, hint = interaction_for(spec)
+    hint = interaction_for(spec)
     failures = []
     for n in (0, 1, 3, 8):
-        ratio = stimulated_ratio(space, hint, n)
+        ratio = stimulated_ratio(hint, n)
         if abs(ratio - math.sqrt(n + 1)) > 1e-10 * math.sqrt(n + 1):
             failures.append((n, ratio))
     ok = not failures
@@ -244,12 +244,13 @@ def test_criterion_6_longitudinal_path_cancellation():
     entry = get_process("sshg_2r1q")
     freqs = default_frequencies(entry)
     spec = build_system(entry, freqs, coupling=0.05)
-    space, hint = interaction_for(spec)
+    hint = interaction_for(spec)
+    space = hint.space
     i = space.index(entry.initial.instantiate(0))
     f = space.index(entry.final.instantiate(0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ec = effective_coupling(space, hint, i, f)
+        ec = effective_coupling(hint, i, f)
     z_paths = sigma_z_only_paths(space, ec.paths)
     partial = sum(p.contribution for p in z_paths)
     ok = (

@@ -131,11 +131,11 @@ def test_stimulated_entry_with_background_photons():
     assert verify_entry(e, n=0).passed and verify_entry(e, n=2).passed
     freqs = default_frequencies(e)
     spec = build_system(e, freqs, n_max=8)
-    space, hint = interaction_for(spec)
+    hint = interaction_for(spec)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        g0 = effective_coupling(space, hint, e.initial.instantiate(0), e.final.instantiate(0)).value
-        g2 = effective_coupling(space, hint, e.initial.instantiate(2), e.final.instantiate(2)).value
+        g0 = effective_coupling(hint, e.initial.instantiate(0), e.final.instantiate(0)).value
+        g2 = effective_coupling(hint, e.initial.instantiate(2), e.final.instantiate(2)).value
     assert abs(g2) / abs(g0) == pytest.approx(math.sqrt(3), rel=1e-9)
 
 
@@ -150,8 +150,8 @@ def test_format_entry_contains_stable_fields():
 
 def test_verify_entry_builds_the_interaction_once_under_the_required_model(monkeypatch):
     """When the entry's system already uses its required model, the
-    reachability check reuses that (space, Hint): one build, plus one per
-    weaker model."""
+    reachability check reuses that Hint: one build, plus one per weaker
+    model."""
     from rabimix import catalog
     from rabimix.system import weaker_models
 

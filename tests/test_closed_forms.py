@@ -77,12 +77,12 @@ def test_closed_form_matches_path_sum_detuned(process_id, factor):
     freqs = dict(freqs, **{sym: freqs[sym] * factor})
     g, theta = 0.04, math.pi / 6
     spec = build_system(entry, freqs, coupling=g, mixing_angle=theta)
-    space, hint = interaction_for(spec)
+    hint = interaction_for(spec)
     i = entry.initial.instantiate(0)
     f = entry.final.instantiate(0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        num = effective_coupling(space, hint, i, f).value.real
+        num = effective_coupling(hint, i, f).value.real
     ana = closed_form_geff(
         entry.closed_form, **_closed_form_params(entry, freqs, g, theta)
     )

@@ -34,27 +34,27 @@ def resonant_spec(n_modes=1, n_max=6):
 
 
 def test_stimulated_ratio_negative_photon_number_is_a_domain_error(shg_spec):
-    space, hint = interaction_for(shg_spec)
+    hint = interaction_for(shg_spec)
     with pytest.raises(DomainError, match="spectator photon number must be >= 0"):
-        stimulated_ratio(space, hint, -1)
+        stimulated_ratio(hint, -1)
 
 
 def test_stimulated_ratio_wrong_setup_is_a_domain_error(jc_spec):
-    space, hint = interaction_for(jc_spec)
+    hint = interaction_for(jc_spec)
     with pytest.raises(DomainError, match="two-mode, one-qubit"):
-        stimulated_ratio(space, hint, 1)
+        stimulated_ratio(hint, 1)
 
 
 def test_stimulated_ratio_short_ladder_stays_a_capacity_error(shg_spec):
-    space, hint = interaction_for(shg_spec)
+    hint = interaction_for(shg_spec)
     with pytest.raises(CapacityError, match="cannot hold 7 photons"):
-        stimulated_ratio(space, hint, 6)
+        stimulated_ratio(hint, 6)
 
 
 def test_diagonal_shift_unsupported_order_is_a_domain_error(jc_spec):
-    space, hint = interaction_for(jc_spec)
+    hint = interaction_for(jc_spec)
     with pytest.raises(DomainError, match="orders 2 and 4"):
-        diagonal_shift(space, hint, BasisState((1,), ("g",)), order=3)
+        diagonal_shift(hint, BasisState((1,), ("g",)), order=3)
 
 
 def test_kerr_shift_numeric_rejects_the_shape_before_warning():

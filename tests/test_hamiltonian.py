@@ -32,7 +32,7 @@ def make_spec(model, theta=0.0, n_max=4, g=0.1, w_a=1.0, w_q=0.9):
 
 
 def hint_for(space):
-    return build_hint(space, space.spec.couplings, space.spec.model)
+    return build_hint(space)
 
 
 def test_h0_is_diagonal_with_bare_energies():

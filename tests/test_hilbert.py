@@ -128,6 +128,19 @@ def test_coupling_to_unknown_labels_rejected():
         )
 
 
+def test_system_spec_parses_its_model_on_construction():
+    """A model name becomes the enum member, so a spec given "jc" equals
+    one given InteractionModel.JC, and an unknown name is rejected by the
+    constructor, not later when H is built."""
+    modes, qubits = (ModeSpec("a", 1.0, 2),), (QubitSpec("q", 1.0),)
+    spec = SystemSpec(modes, qubits, model="jc")
+    assert spec.model is InteractionModel.JC
+    assert spec == spec.with_model("jc")
+    assert spec == SystemSpec(modes, qubits, model=InteractionModel.JC)
+    with pytest.raises(ConfigError, match="unknown interaction model 'foo'"):
+        SystemSpec(modes, qubits, model="foo")
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     n_maxes=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3),

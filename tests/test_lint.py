@@ -6,6 +6,9 @@
 - No function binds a tolerance constant as a default, and no module
   imports one by name (either copy would not see the module constant move).
 - No module imports a name it never uses (``__init__`` re-exports).
+- No public function takes a ``space`` next to an operator (``h`` or
+  ``h_int``): an operator carries the space it acts on, and a second copy
+  could disagree with it without any error.
 """
 
 import ast
@@ -77,3 +80,23 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in imported_names(module)
               if name not in used]
     assert unused == []
+
+
+#: Public functions allowed to take ``space`` next to an operator, and why.
+SPACE_AND_OPERATOR_ALLOWED = {
+    ("dynamics.py", "evolve"): "the benchmark tracer (perfbench/tracing.py) reads "
+                               "evolve's space and spec as its positional args 0 and 2",
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_public_function_takes_a_space_next_to_an_operator(path):
+    offenders = []
+    for fn in functions(tree(path)):
+        if fn.name.startswith("_") or (path.name, fn.name) in SPACE_AND_OPERATOR_ALLOWED:
+            continue
+        a = fn.args
+        names = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+        if "space" in names and names & {"h", "h_int"}:
+            offenders.append(fn.name)
+    assert offenders == []

@@ -102,19 +102,20 @@ def test_chain_equals_brute_force_path_sum(case):
     """Value to 1e-12 of the sum of |contributions|, equal path counts, the
     same paths in the same order, and the same degenerate-intermediate error."""
     spec, i, f, n = case
-    space, hint = interaction_for(spec)
+    hint = interaction_for(spec)
+    space = hint.space
     states, contributions, blocked = brute_force_paths(space, hint, i, f, n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         if not states and blocked is not None:
             with pytest.raises(DegenerateIntermediateError) as err:
-                effective_coupling(space, hint, i, f, order=n)
+                effective_coupling(hint, i, f, order=n)
             assert err.value.state == space.state(blocked)
             with pytest.raises(DegenerateIntermediateError) as err:
-                enumerate_paths(space, hint, i, f, order=n)
+                enumerate_paths(hint, i, f, order=n)
             assert err.value.state == space.state(blocked)
             return
-        r = effective_coupling(space, hint, i, f, order=n)
+        r = effective_coupling(hint, i, f, order=n)
     assert r.order == n
     assert r.path_count == len(states)
     scale = sum(abs(c) for c in contributions)
@@ -133,29 +134,30 @@ def test_chain_count_is_orientation_free_with_many_equal_qubits():
         couplings=tuple(CouplingSpec("a", q.label, 0.05, math.pi / 6) for q in qubits),
         model=InteractionModel.GENERALIZED_RABI,
     )
-    space, hint = interaction_for(spec)
+    hint = interaction_for(spec)
+    space = hint.space
     i = space.index(BasisState.parse("1,e,e,e,g,g,g"))
     f = space.index(BasisState.parse("2,e,e,e,g,g,g"))
     states, contributions, _ = brute_force_paths(space, hint, i, f, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        forward = effective_coupling(space, hint, i, f, order=3)
-        backward = effective_coupling(space, hint, f, i, order=3)
+        forward = effective_coupling(hint, i, f, order=3)
+        backward = effective_coupling(hint, f, i, order=3)
     assert forward.path_count == backward.path_count == len(states) > 0
     assert abs(forward.value - sum(contributions)) <= 1e-12 * sum(map(abs, contributions))
 
 
 def test_effective_coupling_lists_no_paths(monkeypatch):
     """Value and count come from the chains; paths are listed on demand."""
-    space, hint = interaction_for(two_photon_spec())
+    hint = interaction_for(two_photon_spec())
     i, f = BasisState.parse("0,e"), BasisState.parse("2,g")
-    listed = enumerate_paths(space, hint, i, f, order=4)
+    listed = enumerate_paths(hint, i, f, order=4)
 
     def refuse(*args, **kwargs):
         raise AssertionError("enumerate_paths called")
 
     monkeypatch.setattr(perturbation, "enumerate_paths", refuse)
-    r = effective_coupling(space, hint, i, f, order=4)
+    r = effective_coupling(hint, i, f, order=4)
     assert r.path_count == len(listed)
     monkeypatch.undo()
     assert [p.states for p in r.paths] == [p.states for p in listed]
@@ -165,46 +167,47 @@ def test_effective_coupling_lists_no_paths(monkeypatch):
 def test_interference_zero_does_not_raise():
     """A coupling that vanishes by destructive interference is a real zero."""
     entry = get_process("thg_1r3q")
-    space, hint = interaction_for(build_system(entry, default_frequencies(entry), coupling=0.05))
+    hint = interaction_for(build_system(entry, default_frequencies(entry), coupling=0.05))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        r = effective_coupling(space, hint, entry.initial.instantiate(0), entry.final.instantiate(0))
+        r = effective_coupling(hint, entry.initial.instantiate(0), entry.final.instantiate(0))
     assert abs(r.value) < 1e-12 and r.path_count > 0
 
 
 def test_path_cap_edge(monkeypatch):
-    space, hint = interaction_for(two_photon_spec())
+    hint = interaction_for(two_photon_spec())
     i, f = BasisState.parse("0,e"), BasisState.parse("2,g")
-    count = effective_coupling(space, hint, i, f, order=4).path_count
+    count = effective_coupling(hint, i, f, order=4).path_count
     monkeypatch.setattr(perturbation, "PATH_CAP", count)
-    assert len(enumerate_paths(space, hint, i, f, order=4)) == count
+    assert len(enumerate_paths(hint, i, f, order=4)) == count
     monkeypatch.setattr(perturbation, "PATH_CAP", count - 1)
     with pytest.raises(CapacityError, match="PATH_CAP"):
-        enumerate_paths(space, hint, i, f, order=4)
+        enumerate_paths(hint, i, f, order=4)
     # the value and the count never need the list
-    assert effective_coupling(space, hint, i, f, order=4).path_count == count
+    assert effective_coupling(hint, i, f, order=4).path_count == count
 
 
 def test_fourth_order_shift_matches_brute_force():
     """diagonal_shift(order=4) is the chain with f = i, minus the
     renormalization term."""
     spec = two_photon_spec(w_a=0.37)
-    space, hint = interaction_for(spec)
+    hint = interaction_for(spec)
+    space = hint.space
     i = space.index(BasisState.parse("1,g"))
     _, contributions, _ = brute_force_paths(space, hint, i, i, 4)
     h, e = hint.to_dense(), space.energies
     d = np.array([e[i] - e[j] if j != i else np.inf for j in range(space.dimension)])
     e2 = np.sum(h[:, i] ** 2 / d)
     expected = sum(contributions) - e2 * np.sum(h[:, i] ** 2 / d**2)
-    assert diagonal_shift(space, hint, i, order=2) == pytest.approx(e2, rel=1e-13)
-    assert diagonal_shift(space, hint, i, order=4) == pytest.approx(expected, rel=1e-12)
+    assert diagonal_shift(hint, i, order=2) == pytest.approx(e2, rel=1e-13)
+    assert diagonal_shift(hint, i, order=4) == pytest.approx(expected, rel=1e-12)
 
 
 def test_order_below_one_is_a_domain_error():
-    space, hint = interaction_for(two_photon_spec())
+    hint = interaction_for(two_photon_spec())
     for fn in (effective_coupling, enumerate_paths):
         with pytest.raises(DomainError, match="order must be >= 1"):
-            fn(space, hint, BasisState.parse("0,e"), BasisState.parse("2,g"), order=0)
+            fn(hint, BasisState.parse("0,e"), BasisState.parse("2,g"), order=0)
 
 
 def breadth_first_order(hint, i, f, max_depth):
@@ -233,27 +236,28 @@ def breadth_first_order(hint, i, f, max_depth):
 def test_shortest_order_equals_breadth_first_search(case, max_depth):
     """Same order on reachable pairs, same error on unreachable ones."""
     spec, i, f, _ = case
-    space, hint = interaction_for(spec)
+    hint = interaction_for(spec)
+    space = hint.space
     if i == f:
         with pytest.raises(UnreachableError, match="initial and final states coincide"):
-            shortest_order(space, hint, i, f, max_depth)
+            shortest_order(hint, i, f, max_depth)
         return
     expected = breadth_first_order(hint, i, f, max_depth)
     if expected is None:
         with pytest.raises(UnreachableError) as err:
-            shortest_order(space, hint, i, f, max_depth)
+            shortest_order(hint, i, f, max_depth)
         assert str(err.value) == (f"no interaction path from {space.state(i)} to "
                                   f"{space.state(f)} within depth {max_depth}")
     else:
-        assert shortest_order(space, hint, i, f, max_depth) == expected
+        assert shortest_order(hint, i, f, max_depth) == expected
 
 
 def test_shortest_order_at_max_depth_edge():
     """|0,e> -> |4,g> takes four photon-adding hops: found at max_depth 4,
     unreachable at 3."""
-    space, hint = interaction_for(two_photon_spec())
+    hint = interaction_for(two_photon_spec())
     i, f = BasisState.parse("0,e"), BasisState.parse("4,g")
-    assert shortest_order(space, hint, i, f, max_depth=4) == 4
+    assert shortest_order(hint, i, f, max_depth=4) == 4
     with pytest.raises(UnreachableError) as err:
-        shortest_order(space, hint, i, f, max_depth=3)
+        shortest_order(hint, i, f, max_depth=3)
     assert str(err.value) == "no interaction path from |0,e> to |4,g> within depth 3"

@@ -42,26 +42,28 @@ def two_photon_spec(w_a=0.5):
 def test_degeneracy_tol_edge(monkeypatch):
     """|0,e> -> |2,g> at w_a = w_q / 2 runs through |1,g> and |1,e>, both at
     |E_i - E_j| = 0.5 exactly: kept at tol 0.5, excluded just above it."""
-    space, hint = interaction_for(two_photon_spec())
+    hint = interaction_for(two_photon_spec())
+    space = hint.space
     i, f = state("0,e"), state("2,g")
     e = space.energies
     assert abs(e[space.index(i)] - e[space.index(state("1,g"))]) == 0.5
     assert abs(e[space.index(i)] - e[space.index(state("1,e"))]) == 0.5
 
     monkeypatch.setattr(perturbation, "DEGENERACY_TOL", 0.5)
-    result = effective_coupling(space, hint, i, f)
+    result = effective_coupling(hint, i, f)
     assert result.order == 2 and result.path_count == 2
     assert len(result.paths) == 2
 
     monkeypatch.setattr(perturbation, "DEGENERACY_TOL", np.nextafter(0.5, np.inf))
     with pytest.raises(DegenerateIntermediateError) as err:
-        effective_coupling(space, hint, i, f)
+        effective_coupling(hint, i, f)
     assert err.value.state == state("1,g")
 
 
 def test_resonance_tol_edge(monkeypatch):
     """No warning when |E_i - E_f| equals the tolerance, one just below."""
-    space, hint = interaction_for(two_photon_spec(w_a=0.5001))
+    hint = interaction_for(two_photon_spec(w_a=0.5001))
+    space = hint.space
     i, f = state("0,e"), state("2,g")
     d = abs(space.energies[space.index(i)] - space.energies[space.index(f)])
     assert d > 0
@@ -69,11 +71,11 @@ def test_resonance_tol_edge(monkeypatch):
     monkeypatch.setattr(perturbation, "RESONANCE_TOL", d)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        effective_coupling(space, hint, i, f)
+        effective_coupling(hint, i, f)
 
     monkeypatch.setattr(perturbation, "RESONANCE_TOL", np.nextafter(d, 0.0))
     with pytest.warns(UserWarning, match="off resonance"):
-        effective_coupling(space, hint, i, f)
+        effective_coupling(hint, i, f)
 
 
 def test_flat_tol_edge(monkeypatch):
