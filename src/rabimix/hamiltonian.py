@@ -3,7 +3,8 @@
 Interaction matrices are assembled from the ladder operators of each coupled
 mode and the raising/lowering/sigma_z operators of each coupled qubit, with
 one amplitude per hop that its transpose partner shares, so Hermiticity holds
-exactly (not just to rounding).
+exactly (not just to rounding). Matrices are :class:`CSRMatrix` records of
+numpy arrays, so building and applying them needs no scipy.
 """
 
 from __future__ import annotations
@@ -13,28 +14,104 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError
 from .hilbert import HilbertSpace
 from .system import InteractionModel
 
 
+@dataclass(frozen=True, eq=False)
+class CSRMatrix:
+    """A square matrix in compressed sparse row form: row r stores
+    ``data[indptr[r]:indptr[r + 1]]`` at the columns
+    ``indices[indptr[r]:indptr[r + 1]]``, ascending. :func:`canonical_csr`
+    builds it with no duplicate and no stored zero, so equal matrices have
+    equal arrays."""
+
+    indptr: np.ndarray   # int64, shape[0] + 1 offsets
+    indices: np.ndarray  # int64 column of each stored entry
+    data: np.ndarray     # float64 (int64 ones for a pattern)
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.rows, self.indices, self.data
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """A x for a vector x. A float row is summed term by term in CSR
+        order from 0.0, as scipy's CSR product does, so the two agree to the
+        bit; integer or boolean x gives exact integer sums."""
+        terms = self.data * x[self.indices]
+        if terms.dtype.kind == "f":
+            return np.bincount(self.rows, weights=terms, minlength=self.shape[0])
+        out = np.zeros(self.shape[0], dtype=terms.dtype)
+        filled = np.flatnonzero(np.diff(self.indptr))  # reduceat misreads empty rows
+        if len(filled):
+            out[filled] = np.add.reduceat(terms, self.indptr[filled])
+        return out
+
+    def row(self, r: int) -> np.ndarray:
+        """Row r as a dense vector."""
+        out = np.zeros(self.shape[1], dtype=self.data.dtype)
+        lo, hi = self.indptr[r], self.indptr[r + 1]
+        out[self.indices[lo:hi]] = self.data[lo:hi]
+        return out
+
+    def to_dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        out[self.rows, self.indices] = self.data
+        return out
+
+
+def canonical_csr(n: int, *parts) -> CSRMatrix:
+    """The n x n sum of the ``(rows, cols, values)`` triplet arrays in
+    ``parts``: entries sorted by row, then column, duplicates summed in the
+    order given, exact zeros dropped."""
+    # the empty first triplet lets ``parts`` be empty
+    rows, cols, vals = map(np.concatenate, zip(((), (), ()), *parts))
+    key = rows.astype(np.int64) * n + cols.astype(np.int64)  # row-major position
+    order = np.argsort(key, kind="stable")  # duplicates keep their order
+    key, vals = key[order], vals.astype(np.float64)[order]
+    starts = np.ones(len(key), dtype=bool)  # first entry of each position
+    starts[1:] = key[1:] != key[:-1]
+    if not starts.all():
+        first = np.flatnonzero(starts)
+        key, vals = key[first], np.add.reduceat(vals, first)
+    kept = vals != 0
+    key, vals = key[kept], vals[kept]
+    indptr = np.searchsorted(key, np.arange(n + 1) * n)
+    return CSRMatrix(indptr, key % n, vals, (n, n))
+
+
+def diagonal_csr(values) -> CSRMatrix:
+    d = np.arange(len(values))
+    return canonical_csr(len(values), (d, d, values))
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """Sparse Hermitian matrix tied to the Hilbert space it acts on.
 
-    Every amplitude the build functions emit is real, so the matrix is
-    stored as float64 and is exactly symmetric in pattern and value: row j
-    and column j hold the same entries in the same order (build_hint emits
-    one amplitude per hop, so no summation order can break the mirror).
-    Entries are in canonical CSR form (sorted, no duplicates, no stored
-    zeros), so equal operators compare equal entrywise, and the path sums,
-    which run in this CSR order, are deterministic.
+    Every amplitude the build functions emit is real, so ``matrix`` is a
+    float64 :class:`CSRMatrix` (``indptr``, ``indices``, ``data``, ``shape``,
+    ``nnz``) that is exactly symmetric in pattern and value: row j and
+    column j hold the same entries in the same order (build_hint emits one
+    amplitude per hop, so no summation order can break the mirror). Entries
+    are in canonical form (sorted, no duplicates, no stored zeros), so equal
+    operators have equal arrays, and the path sums, which run in this CSR
+    order, are deterministic.
     """
 
     space: HilbertSpace
-    matrix: sp.csr_matrix  # float64, symmetric, canonical
+    matrix: CSRMatrix  # float64, symmetric, canonical
 
     @property
     def dimension(self) -> int:
@@ -42,107 +119,67 @@ class HermitianOperator:
 
     def element(self, row, col) -> float:
         """<row|H|col> for anything :meth:`HilbertSpace.index` accepts."""
-        return float(self.matrix[self.space.index(row), self.space.index(col)])
+        return float(self.matrix.row(self.space.index(row))[self.space.index(col)])
 
     @cached_property
-    def pattern(self) -> sp.csr_matrix:
+    def pattern(self) -> CSRMatrix:
         """The stored entries as int64 ones in the same CSR layout: the
         adjacency that path counts and reachability walk over."""
         m = self.matrix
-        return sp.csr_matrix(
-            (np.ones(m.nnz, dtype=np.int64), m.indices, m.indptr), shape=m.shape
-        )
-
-    @cached_property
-    def _diagonal_slots(self) -> tuple[sp.csr_matrix, np.ndarray]:
-        """This matrix with a stored slot at every diagonal position (0.0
-        where it stores none), and the data positions of those slots."""
-        m = self.matrix.tocoo()
-        d = np.arange(self.dimension)
-        t = sp.csr_matrix(
-            (np.concatenate([m.data, np.zeros(len(d))]),
-             (np.concatenate([m.row, d]), np.concatenate([m.col, d]))),
-            shape=m.shape,
-        )  # duplicates summed (x + 0.0 is x), indices sorted, zeros kept
-        rows = np.repeat(d, np.diff(t.indptr))
-        return t, np.flatnonzero(t.indices == rows)
+        return CSRMatrix(m.indptr, m.indices, np.ones(m.nnz, dtype=np.int64), m.shape)
 
     def with_energies(self, space: HilbertSpace) -> "HermitianOperator":
         """``build_hamiltonian(space)``, entrywise and in CSR layout, from
         this ``build_hamiltonian`` result on a space that differs only in
-        frequencies. Hint has no diagonal, so only the diagonal slots are
-        rewritten, with ``space.energies``; an energy of exactly 0 drops its
-        slot, as canonical form stores no zeros."""
-        t, slots = self._diagonal_slots
-        data = t.data.copy()
-        data[slots] = space.energies
-        if space.energies.all():
-            return HermitianOperator(space, sp.csr_matrix((data, t.indices, t.indptr), shape=t.shape))
-        m = sp.csr_matrix((data, t.indices.copy(), t.indptr.copy()), shape=t.shape)
-        m.eliminate_zeros()
-        return HermitianOperator(space, m)
+        frequencies. Hint has no diagonal, so the off-diagonal entries are
+        kept and the diagonal is ``space.energies``; an energy of exactly 0
+        stores no entry, as in canonical form."""
+        rows, cols, vals = self.matrix.triplets()
+        off = rows != cols
+        d = np.arange(self.dimension)
+        return HermitianOperator(space, canonical_csr(
+            self.dimension, (rows[off], cols[off], vals[off]), (d, d, space.energies)))
 
     def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
+        return self.matrix.to_dense()
 
     def hermiticity_defect(self) -> float:
         """max |H - H^T| over stored entries; exactly 0 for built operators."""
-        d = self.matrix - self.matrix.T
-        return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
+        rows, cols, vals = self.matrix.triplets()
+        d = canonical_csr(self.dimension, (rows, cols, vals), (cols, rows, -vals))
+        return float(np.abs(d.data).max(initial=0.0))
 
     def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
         if other.space is not self.space:
             raise ConfigError("cannot add operators on different Hilbert spaces")
-        return HermitianOperator(self.space, _canonical(self.matrix + other.matrix))
+        return HermitianOperator(self.space, canonical_csr(
+            self.dimension, self.matrix.triplets(), other.matrix.triplets()))
 
     def scaled(self, factor: float) -> "HermitianOperator":
-        return HermitianOperator(self.space, _canonical(self.matrix * factor))
+        rows, cols, vals = self.matrix.triplets()
+        return HermitianOperator(self.space, canonical_csr(self.dimension, (rows, cols, vals * factor)))
 
     def dump_coo(self, path) -> None:
         """Write sorted 'row col re im' lines for cross-tool diffing; H is
         real, so the im column is always 0."""
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
         with open(path, "w") as fh:
-            for k in order:
-                fh.write(f"{coo.row[k]} {coo.col[k]} {coo.data[k]:.17g} 0\n")
-
-
-def _canonical(m) -> sp.csr_matrix:
-    m = sp.csr_matrix(m, dtype=np.float64)
-    m.sum_duplicates()
-    m.eliminate_zeros()
-    m.sort_indices()
-    return m
-
-
-def _from_triplets(space: HilbertSpace, rows, cols, vals) -> HermitianOperator:
-    m = sp.coo_matrix(
-        (np.asarray(vals, dtype=np.float64), (rows, cols)),
-        shape=(space.dimension, space.dimension),
-    )
-    return HermitianOperator(space, _canonical(m))
-
-
-def _diagonal(space: HilbertSpace, values) -> HermitianOperator:
-    return HermitianOperator(
-        space, _canonical(sp.diags(np.asarray(values, dtype=np.float64)))
-    )
+            for r, c, v in zip(*(a.tolist() for a in self.matrix.triplets())):
+                fh.write(f"{r} {c} {v:.17g} 0\n")
 
 
 def build_h0(space: HilbertSpace) -> HermitianOperator:
     """Bare Hamiltonian: diagonal of bare energies."""
-    return _diagonal(space, space.energies)
+    return HermitianOperator(space, diagonal_csr(space.energies))
 
 
 def total_number_operator(space: HilbertSpace) -> HermitianOperator:
     """Total excitation number: photons plus excited qubits."""
-    return _diagonal(space, space.excitation_numbers)
+    return HermitianOperator(space, diagonal_csr(space.excitation_numbers))
 
 
 def parity_operator(space: HilbertSpace) -> HermitianOperator:
     """Excitation-number parity (-1)^N."""
-    return _diagonal(space, 1.0 - 2.0 * (space.excitation_numbers % 2))
+    return HermitianOperator(space, diagonal_csr(1.0 - 2.0 * (space.excitation_numbers % 2)))
 
 
 def build_hint(space: HilbertSpace) -> HermitianOperator:
@@ -186,13 +223,11 @@ def build_hint(space: HilbertSpace) -> HermitianOperator:
     for (mk, g_z), count in sz_counts.items():
         longitudinal[mk] = longitudinal.get(mk, 0.0) + g_z * count
 
-    rows, cols, vals = [], [], []
+    hops = []  # (rows, cols, values) per hop kind
 
     def add(mask, dcol_to_row, amp):
         idx = np.nonzero(mask)[0]
-        rows.append(idx + dcol_to_row)
-        cols.append(idx)
-        vals.append(amp[idx])
+        hops.append((idx + dcol_to_row, idx, amp[idx]))
 
     nm = len(space.modes)
     occ = space.occupation_table
@@ -224,11 +259,7 @@ def build_hint(space: HilbertSpace) -> HermitianOperator:
         add(n >= 1, -mw, z * sq_dn)
         add(n < n_max, mw, z * sq_up)
 
-    if not rows:
-        return _from_triplets(space, [], [], [])
-    return _from_triplets(
-        space, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    )
+    return HermitianOperator(space, canonical_csr(space.dimension, *hops))
 
 
 def build_hamiltonian(space: HilbertSpace) -> HermitianOperator:
@@ -236,8 +267,16 @@ def build_hamiltonian(space: HilbertSpace) -> HermitianOperator:
     return build_h0(space) + build_hint(space)
 
 
+def _product(a: CSRMatrix, b: CSRMatrix):
+    """(rows, cols, values) of the terms a_ik b_kj of A B, one per pair of
+    stored entries; :func:`canonical_csr` sums them."""
+    per = np.diff(b.indptr)[a.indices]  # entries of row k of B, per entry of A
+    at = np.arange(per.sum()) + np.repeat(b.indptr[a.indices] - (np.cumsum(per) - per), per)
+    return np.repeat(a.rows, per), b.indices[at], np.repeat(a.data, per) * b.data[at]
+
+
 def commutator_norm(a: HermitianOperator, b: HermitianOperator) -> float:
     """max-entry norm of [A, B]."""
-    d = a.matrix @ b.matrix - b.matrix @ a.matrix
-    d = _canonical(d)
-    return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
+    rows, cols, vals = _product(b.matrix, a.matrix)
+    d = canonical_csr(a.dimension, _product(a.matrix, b.matrix), (rows, cols, -vals))
+    return float(np.abs(d.data).max(initial=0.0))

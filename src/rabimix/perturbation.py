@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     CapacityError,
@@ -36,7 +35,7 @@ from .errors import (
     DomainError,
     UnreachableError,
 )
-from .hamiltonian import HermitianOperator, build_hint
+from .hamiltonian import CSRMatrix, HermitianOperator, build_hint
 from .hilbert import BasisState, HilbertSpace, build_space
 from .system import SystemSpec
 
@@ -162,7 +161,7 @@ def _exclusions(space: HilbertSpace, i: int, f: int):
     return allowed, r
 
 
-def _walk_counts(pattern: sp.csr_matrix, allowed: np.ndarray, start: int, steps: int):
+def _walk_counts(pattern: CSRMatrix, allowed: np.ndarray, start: int, steps: int):
     """``counts[t - 1][k]``: walks of t hops from ``start`` to k whose
     intermediates are all allowed, for t = 1..steps. H is symmetric, so this
     also counts the walks from k to ``start``.
@@ -184,22 +183,28 @@ def _walk_counts(pattern: sp.csr_matrix, allowed: np.ndarray, start: int, steps:
 
 def _check_blocked(space, pattern, allowed, i, f, n) -> None:
     """Raise :class:`DegenerateIntermediateError` when an order-n walk from i
-    meets an intermediate degenerate with i; call it once no allowed walk
-    reaches f. The state named is the first such intermediate in
-    depth-first order (hops taken in ascending basis index)."""
+    to f, with intermediates other than i and f, meets an intermediate
+    degenerate with i; call it once no allowed walk reaches f. The state
+    named is the first such intermediate in depth-first order (hops taken in
+    ascending basis index)."""
     degenerate = ~allowed
     degenerate[[i, f]] = False
-    # hits[s][j]: from j with s hops left, an intermediate hop lands on a
-    # degenerate state; the last hop (s = 1) lands on f, not an intermediate
+    passable = allowed | degenerate  # every state but i and f
+    # reach[s][j]: from j, some s-hop walk through passable states ends at f;
+    # hits[s][j]: one of them lands on a degenerate intermediate
+    at_f = np.zeros(len(allowed), dtype=bool)
+    at_f[f] = True
+    reach = [at_f, pattern @ at_f > 0]
     hits = [np.zeros(len(allowed), dtype=bool)] * 2
     for _ in range(2, n + 1):
-        hits.append(pattern @ (degenerate | (allowed & hits[-1])).astype(np.int64) > 0)
+        hits.append(pattern @ ((degenerate & reach[-1]) | (allowed & hits[-1])) > 0)
+        reach.append(pattern @ (passable & reach[-1]) > 0)
     if not hits[n][i]:
         return
     j, s = i, n
     while True:
         for k in pattern.indices[pattern.indptr[j]: pattern.indptr[j + 1]].tolist():
-            if degenerate[k]:
+            if degenerate[k] and reach[s - 1][k]:
                 raise DegenerateIntermediateError(
                     f"all order-{n} paths from {space.state(i)} to {space.state(f)} are "
                     f"blocked by an intermediate degenerate with the initial state: "
@@ -380,7 +385,7 @@ def diagonal_shift(
     i = h_int.space.index(state)
     m = h_int.matrix
     _, r = _exclusions(h_int.space, i, i)
-    v2 = m[i].toarray().ravel() ** 2  # |V_ij|^2, H real symmetric
+    v2 = m.row(i) ** 2  # |V_ij|^2, H real symmetric
     e2 = float(np.sum(v2 * r))
     if order == 2:
         return e2

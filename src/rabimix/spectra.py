@@ -14,12 +14,9 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from .errors import BracketingError, CapacityError, ConfigError, DomainError
-from .hamiltonian import HermitianOperator, build_hamiltonian, build_hint
+from .hamiltonian import CSRMatrix, HermitianOperator, build_hamiltonian, build_hint, diagonal_csr
 from .hilbert import BasisState, HilbertSpace, build_space
 from .perturbation import effective_coupling, interaction_for
 from .system import SystemSpec
@@ -118,7 +115,7 @@ def apply_parameter(spec: SystemSpec, parameter: str, value: float) -> SystemSpe
     )
 
 
-def parameter_derivative(space: HilbertSpace, parameter: str) -> sp.csr_matrix:
+def parameter_derivative(space: HilbertSpace, parameter: str) -> CSRMatrix:
     """dH/dv for the sweep parameter v on ``space``: diag(n_m) for
     ``mode:m``, diag(s_q - 1/2) for ``qubit:q`` (s_q = 1 for e), and for
     ``coupling:m`` the interaction of mode m's couplings at unit strength,
@@ -126,9 +123,9 @@ def parameter_derivative(space: HilbertSpace, parameter: str) -> sp.csr_matrix:
     from the spec with only those couplings, once per sweep."""
     kind, _, label = parameter.partition(":")
     if kind == "mode":
-        return sp.diags(space.occupation_table[:, space.mode_index(label)] * 1.0, format="csr")
+        return diagonal_csr(space.occupation_table[:, space.mode_index(label)])
     if kind == "qubit":
-        return sp.diags(space.qubit_table[:, space.qubit_index(label)] - 0.5, format="csr")
+        return diagonal_csr(space.qubit_table[:, space.qubit_index(label)] - 0.5)
     unit = apply_parameter(space.spec, parameter, 1.0)  # raises for an unknown kind
     mine = tuple(c for c in unit.couplings if c.mode_label == label)
     return build_hint(build_space(replace(unit, couplings=mine))).matrix
@@ -169,12 +166,18 @@ def eigensystem(h: HermitianOperator, rows=()):
     """
     dim = h.dimension
     if dim <= DENSE_CAP:
+        import scipy.linalg  # deferred here and below: commands that solve nothing skip scipy
+
         vals, vecs = scipy.linalg.eigh(h.to_dense())
     else:
+        import scipy.sparse.linalg
+
         k = max(16, 2 * len(rows) + 8)
         if k >= dim:
             raise CapacityError(f"requested {k} eigenpairs of a dimension-{dim} operator")
-        vals, vecs = scipy.sparse.linalg.eigsh(h.matrix, k=k, which="SA")
+        m = h.matrix
+        a = scipy.sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+        vals, vecs = scipy.sparse.linalg.eigsh(a, k=k, which="SA")
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
     captured_norms(h, vecs, list(rows))
@@ -243,7 +246,7 @@ def _top2(h: HermitianOperator, rows: list[int]):
     return vals[top2], vecs[:, top2]
 
 
-def gap_and_slope(h: HermitianOperator, dh: sp.csr_matrix, rows: list[int]) -> tuple[float, float]:
+def gap_and_slope(h: HermitianOperator, dh: CSRMatrix, rows: list[int]) -> tuple[float, float]:
     """The :func:`subspace_gap` G = |E_1 - E_2| of the bare states ``rows``
     on ``h``, and its slope dG/dv for dH/dv = ``dh`` by Hellmann-Feynman:
     sign(E_1 - E_2) (<1|dh|1> - <2|dh|2>) on the same two eigenvectors."""
@@ -305,7 +308,7 @@ def find_avoided_crossing(
     The gap is reported at the root. The prediction is the path-sum g_eff
     evaluated at the bare-resonance point.
     """
-    import scipy.optimize  # deferred: it adds half again to `import rabimix`
+    import scipy.optimize  # deferred, as in eigensystem
 
     hs = SweepHamiltonian(sweep)
     dh = parameter_derivative(hs.space, sweep.parameter)

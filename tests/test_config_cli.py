@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -313,3 +317,36 @@ def test_cli_verify_counts_each_process_once(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[1] for line in lines[:-1]] == ["shg_1r1q", "shg_2r1q"]
     assert lines[-1] == "verified 2 processes, 0 failures"
+
+
+COLD_START = """
+import sys
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import rabimix.cli
+assert scipy_loaded() == [], scipy_loaded()
+cfg, classical_cfg, out = sys.argv[1:]
+for argv in (["geff", "-c", cfg], ["verify", "--all-closed-forms"], ["catalog"],
+             ["classical", "-c", classical_cfg]):
+    assert rabimix.cli.main(argv + ["-o", out]) == 0, argv
+assert scipy_loaded() == [], scipy_loaded()
+assert rabimix.cli.main(["spectrum", "-c", cfg, "-o", out]) == 0
+assert "scipy.linalg" in sys.modules and "scipy.sparse" not in sys.modules, scipy_loaded()
+"""
+
+
+def test_commands_that_solve_nothing_never_load_scipy(tmp_path):
+    """In a fresh interpreter, importing the CLI and running geff, verify,
+    catalog and classical loads no scipy module; spectrum loads the dense
+    eigensolver (scipy.linalg) and still not scipy.sparse."""
+    cfg = write_config(tmp_path, WITH_ALL_SECTIONS)
+    classical = write_config(tmp_path, {"classical": {
+        "tones": [{"amplitude": 1.0, "frequency": 1.0}], "chi2": 1.0}}, "classical.json")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START, cfg, classical, str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr

@@ -200,11 +200,11 @@ def equal_qubits_spec(model, n_qubits=6, n_max=6, theta=math.pi / 6):
 
 
 def assert_exactly_symmetric(h):
-    m = h.matrix
+    rows, cols, vals = h.matrix.triplets()
     assert h.hermiticity_defect() == 0.0
-    assert (m != m.T).nnz == 0  # values, entry by entry
-    pattern = (m != 0).astype(np.int8)
-    assert (pattern != pattern.T).nnz == 0
+    mirror = np.lexsort((rows, cols))  # the entries of H^T in CSR order
+    assert np.array_equal(cols[mirror], rows) and np.array_equal(rows[mirror], cols)  # pattern
+    assert np.array_equal(vals[mirror], vals)  # values, entry by entry
 
 
 @pytest.mark.parametrize("model", list(InteractionModel))

@@ -9,6 +9,9 @@
 - No public function takes a ``space`` next to an operator (``h`` or
   ``h_int``): an operator carries the space it acts on, and a second copy
   could disagree with it without any error.
+- No module imports scipy outside a function body: scipy loads only where
+  an eigensolver or root finder runs, so commands that solve nothing start
+  without it.
 """
 
 import ast
@@ -99,4 +102,27 @@ def test_no_public_function_takes_a_space_next_to_an_operator(path):
         names = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
         if "space" in names and names & {"h", "h_int"}:
             offenders.append(fn.name)
+    assert offenders == []
+
+
+def outside_functions(node: ast.AST):
+    """Every node below ``node`` that no function body encloses."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from outside_functions(child)
+
+
+def is_scipy(module: str | None) -> bool:
+    return module is not None and (module == "scipy" or module.startswith("scipy."))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_scipy_is_imported_only_inside_functions(path):
+    offenders = []
+    for node in outside_functions(tree(path)):
+        if isinstance(node, ast.Import):
+            offenders += [f"line {node.lineno}: import {a.name}" for a in node.names if is_scipy(a.name)]
+        elif isinstance(node, ast.ImportFrom) and is_scipy(node.module):
+            offenders.append(f"line {node.lineno}: from {node.module} import ...")
     assert offenders == []

@@ -51,26 +51,29 @@ def brute_force_paths(space, hint, i, f, n, tol=DEGENERACY_TOL):
     intermediates != i, f and nondegenerate with i, in lexicographic order.
 
     Returns (states, contributions) of the paths and the first degenerate
-    intermediate met depth-first (None if there is none)."""
+    intermediate of the first walk i -> f, in the same order, that meets one
+    (None if no walk through intermediates != i, f meets one)."""
     h = hint.to_dense()
     e = space.energies
     hops = [np.flatnonzero(h[:, j]) for j in range(space.dimension)]
     states, contributions, blocked = [], [], []
 
-    def walk(j, left, seq, c):
+    def walk(j, left, seq, c, degenerate):
         for k in hops[j]:
             k = int(k)
             if left == 1:
-                if k == f:
+                if k == f and degenerate is None:
                     states.append(seq + (k,))
                     contributions.append(c * h[k, j])
+                elif k == f:
+                    blocked.append(degenerate)
             elif k not in (i, f):
                 if abs(e[k] - e[i]) < tol:
-                    blocked.append(k)
+                    walk(k, left - 1, seq + (k,), c, k if degenerate is None else degenerate)
                 else:
-                    walk(k, left - 1, seq + (k,), c * h[k, j] / (e[i] - e[k]))
+                    walk(k, left - 1, seq + (k,), c * h[k, j] / (e[i] - e[k]), degenerate)
 
-    walk(i, n, (i,), 1.0)
+    walk(i, n, (i,), 1.0, None)
     return states, contributions, (blocked[0] if blocked else None)
 
 
