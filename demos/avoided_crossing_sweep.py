@@ -12,6 +12,7 @@ Run:  python3 demos/avoided_crossing_sweep.py
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import scipy.optimize
@@ -27,7 +28,7 @@ from rabimix import (
     find_avoided_crossing,
     track_levels,
 )
-from rabimix.spectra import subspace_gap, write_sweep_csv
+from rabimix.spectra import subspace_gap, sweep_csv
 
 
 def build(model):
@@ -51,7 +52,7 @@ def main():
                           lo=1.8, hi=2.2, points=81, tracked=(i, f))
         result = track_levels(sweep)
         path = f"sweep_{model.value}.csv"
-        write_sweep_csv(result, path)
+        Path(path).write_text(sweep_csv(result), newline="")
         print(f"{model.value}: wrote {path}")
 
     # the longitudinal term is what opens the gap

@@ -10,6 +10,7 @@ Run:  python3 demos/two_photon_oscillation.py
 """
 
 import math
+from pathlib import Path
 
 from rabimix import (
     BasisState,
@@ -26,7 +27,7 @@ from rabimix import (
     extract_oscillation,
     find_avoided_crossing,
 )
-from rabimix.dynamics import write_trace_csv
+from rabimix.dynamics import trace_csv
 
 
 def main():
@@ -55,7 +56,7 @@ def main():
     ev = EvolutionSpec(initial=i, total_time=4 * math.pi / rep.gap,
                        samples=4096, targets=(f, i))
     trace = evolve(space, h, ev)
-    write_trace_csv(trace, "two_photon_trace.csv")
+    Path("two_photon_trace.csv").write_text(trace_csv(trace), newline="")
     print("wrote two_photon_trace.csv")
 
     freq, pmax = extract_oscillation(trace)

@@ -18,7 +18,7 @@ from .classical import (
     polarization_spectrum,
 )
 from .closed_forms import closed_form_geff
-from .config import RunConfig, emit_config, parse_config
+from .config import RunConfig, parse_config
 from .dynamics import EvolutionSpec, PopulationTrace, evolve, extract_oscillation
 from .errors import (
     BracketingError,
@@ -123,7 +123,6 @@ __all__ = [
     "effective_coupling",
     "effective_linear_susceptibility",
     "eigensystem",
-    "emit_config",
     "enumerate_paths",
     "evaluate_polarization",
     "evolve",

@@ -113,14 +113,6 @@ class ProcessEntry:
         object.__setattr__(self, "eval_model", InteractionModel.parse(self.eval_model or model))
 
     @property
-    def n_modes(self) -> int:
-        return len(self.mode_symbols)
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.qubit_symbols)
-
-    @property
     def excitation_change(self):
         ci, ni = self.initial.excitation_form()
         cf, nf = self.final.excitation_form()

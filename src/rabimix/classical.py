@@ -13,21 +13,23 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 
-#: Frequencies closer than this are merged into one component (float inputs
-#: only; rational frequencies compare exactly).
+#: Frequencies closer than this are merged into one component.
 MERGE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class Tone:
-    """One cosine drive E0 cos(omega t) with zero phase."""
+    """One cosine drive E0 cos(omega t) with zero phase. The frequency is
+    stored as a float and must be >= 0, whatever real type it is given as."""
 
     amplitude: float
     frequency: float
 
     def __post_init__(self):
-        if isinstance(self.frequency, float) and self.frequency < 0:
+        frequency = float(self.frequency)
+        if not frequency >= 0:
             raise ConfigError(f"tone frequency must be >= 0, got {self.frequency}")
+        object.__setattr__(self, "frequency", frequency)
 
 
 @dataclass(frozen=True)
@@ -41,8 +43,7 @@ class Susceptibilities:
 
 
 def _exp_spectrum(tones):
-    """cos(wt) -> half-amplitude lines at +w and -w (exact frequencies kept
-    as Fractions when given so, floats otherwise)."""
+    """cos(wt) -> half-amplitude lines at +w and -w."""
     spec = {}
     for t in tones:
         for sign in (1, -1):
@@ -70,14 +71,11 @@ def _fold(spec):
 
 
 def _merge_close(items):
-    """Merge float frequencies within MERGE_TOL; exact types merge exactly."""
+    """Merge frequencies within MERGE_TOL of the previous kept one."""
     merged = []
-    for f, v in sorted(items, key=lambda kv: float(kv[0])):
-        if merged and isinstance(f, float) and isinstance(merged[-1][0], float) \
-                and abs(f - merged[-1][0]) <= MERGE_TOL:
+    for f, v in sorted(items, key=lambda kv: kv[0]):
+        if merged and abs(f - merged[-1][0]) <= MERGE_TOL:
             merged[-1] = (merged[-1][0], merged[-1][1] + v)
-        elif merged and merged[-1][0] == f:
-            merged[-1] = (f, merged[-1][1] + v)
         else:
             merged.append((f, v))
     return merged
@@ -146,11 +144,5 @@ def spectrum_csv(components) -> str:
     """``frequency,amplitude`` CSV text at 17 significant digits."""
     lines = ["frequency,amplitude"]
     for f, a in components:
-        lines.append(f"{float(f):.17g},{a:.17g}")
+        lines.append(f"{f:.17g},{a:.17g}")
     return "\n".join(lines) + "\n"
-
-
-def write_spectrum_csv(components, path) -> None:
-    """Write :func:`spectrum_csv` of ``components`` to ``path``."""
-    with open(path, "w", newline="") as fh:
-        fh.write(spectrum_csv(components))

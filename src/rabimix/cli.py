@@ -22,30 +22,14 @@ import tempfile
 from . import catalog as cat
 from .classical import Susceptibilities, Tone, polarization_spectrum, spectrum_csv
 from .config import RunConfig, parse_config, section_defaults
-from .dynamics import EvolutionSpec, evolve, extract_oscillation, write_trace_csv
+from .dynamics import EvolutionSpec, evolve, extract_oscillation, trace_csv
 from .errors import CapacityError, ConfigError, FlatTraceError, RabimixError
 from .hamiltonian import build_hamiltonian
 from .hilbert import build_space
 from .perturbation import PATH_CAP, effective_coupling, interaction_for
-from .spectra import SweepSpec, track_levels, write_sweep_csv
+from .spectra import SweepSpec, sweep_csv, track_levels
 
 ENV_PREFIX = "RABIMIX_"
-
-
-@contextlib.contextmanager
-def _atomic_path(path: str):
-    """Yield a temp path next to ``path``; rename it into place once the
-    body has written it, or remove it if the body fails."""
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".rabimix-", suffix=".tmp")
-    os.close(fd)
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
 
 
 def _env_overrides():
@@ -80,12 +64,21 @@ def _optional_section(args, name: str) -> dict:
 
 
 def _emit(text: str, path: str | None) -> None:
+    """Write ``text`` to stdout, or to ``path`` atomically: the package's one file writer."""
     if path is None:
         sys.stdout.write(text)
-    else:
-        with _atomic_path(path) as tmp, open(tmp, "w", newline="") as fh:
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               prefix=".rabimix-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
-        print(f"wrote {path}")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+    print(f"wrote {path}")
 
 
 def _fmt(x: float) -> str:
@@ -129,11 +122,8 @@ def cmd_spectrum(args) -> int:
             points=sec["points"],
             tracked=tuple(sec["tracked"]),
         )
-        result = track_levels(sweep)
         path = f"{stem}_{model.value}.csv" if len(models) > 1 else f"{stem}.csv"
-        with _atomic_path(path) as tmp:
-            write_sweep_csv(result, tmp)
-        print(f"wrote {path}")
+        _emit(sweep_csv(track_levels(sweep)), path)
     return 0
 
 
@@ -149,10 +139,7 @@ def cmd_evolve(args) -> int:
     space = build_space(config.system)
     h = build_hamiltonian(space)
     trace = evolve(space, h, spec)
-    path = args.output or sec["output"]
-    with _atomic_path(path) as tmp:
-        write_trace_csv(trace, tmp)
-    print(f"wrote {path}")
+    _emit(trace_csv(trace), args.output or sec["output"])
     try:
         freq, pmax = extract_oscillation(trace)
         print(f"oscillation_frequency: {_fmt(freq)}")

@@ -1,4 +1,4 @@
-"""Run-configuration parsing, validation and emission.
+"""Run-configuration parsing and validation.
 
 Configs are JSON documents with a ``system`` section (modes, qubits,
 couplings, interaction model) and one optional section per command. Every
@@ -32,7 +32,6 @@ class RunConfig:
     """Validated configuration: the system plus per-command sections, each
     with every field of its :data:`SCHEMA` entry, defaults filled in."""
 
-    raw: dict
     system: SystemSpec | None
     sections: dict = field(default_factory=dict)
 
@@ -325,12 +324,7 @@ def parse_config(text: str, overrides=()) -> RunConfig:
     errs += section_errs
     if errs:
         raise ConfigError(errs)
-    return RunConfig(raw=raw, system=system, sections=sections)
-
-
-def emit_config(config: RunConfig) -> str:
-    """Serialize a config back to canonical JSON (round-trips with parse)."""
-    return json.dumps(config.raw, indent=2, sort_keys=True) + "\n"
+    return RunConfig(system=system, sections=sections)
 
 
 def apply_override(raw: dict, assignment: str) -> None:

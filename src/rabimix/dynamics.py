@@ -146,11 +146,10 @@ def extract_oscillation(trace: PopulationTrace, target: BasisState | None = None
     return float(freq), float(min(pmax, 1.0))
 
 
-def write_trace_csv(trace: PopulationTrace, path, target: BasisState | None = None) -> None:
-    """Emit ``t,P_f,norm`` per sample at 17 significant digits."""
-    if target is None:
-        target = trace.spec.targets[0]
+def trace_csv(trace: PopulationTrace) -> str:
+    """``t,P_f,norm`` CSV text for the first target, one row per sample at
+    17 significant digits."""
+    target = trace.spec.targets[0]
     rows = zip(trace.times.tolist(), trace.population(target).tolist(), trace.norms.tolist())
     lines = ["t,P_f,norm", *map("%.17g,%.17g,%.17g".__mod__, rows)]
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

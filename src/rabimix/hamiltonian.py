@@ -143,12 +143,6 @@ class HermitianOperator:
     def to_dense(self) -> np.ndarray:
         return self.matrix.to_dense()
 
-    def hermiticity_defect(self) -> float:
-        """max |H - H^T| over stored entries; exactly 0 for built operators."""
-        rows, cols, vals = self.matrix.triplets()
-        d = canonical_csr(self.dimension, (rows, cols, vals), (cols, rows, -vals))
-        return float(np.abs(d.data).max(initial=0.0))
-
     def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
         if other.space is not self.space:
             raise ConfigError("cannot add operators on different Hilbert spaces")
@@ -158,13 +152,6 @@ class HermitianOperator:
     def scaled(self, factor: float) -> "HermitianOperator":
         rows, cols, vals = self.matrix.triplets()
         return HermitianOperator(self.space, canonical_csr(self.dimension, (rows, cols, vals * factor)))
-
-    def dump_coo(self, path) -> None:
-        """Write sorted 'row col re im' lines for cross-tool diffing; H is
-        real, so the im column is always 0."""
-        with open(path, "w") as fh:
-            for r, c, v in zip(*(a.tolist() for a in self.matrix.triplets())):
-                fh.write(f"{r} {c} {v:.17g} 0\n")
 
 
 def build_h0(space: HilbertSpace) -> HermitianOperator:

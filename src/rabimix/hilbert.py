@@ -144,11 +144,6 @@ class HilbertSpace:
         """Sum of n*omega over modes plus +-omega_q/2 per qubit (e above g)."""
         return float(self.energies[self.index(state)])
 
-    def basis_vector(self, state: BasisState) -> np.ndarray:
-        v = np.zeros(self.dimension)
-        v[self.index(state)] = 1.0
-        return v
-
     def mode_index(self, label: str) -> int:
         for k, m in enumerate(self.modes):
             if m.label == label:

@@ -2,7 +2,7 @@
 
 Two bare states |i> and |f> of (nearly) equal energy acquire an effective
 coupling through chains of interaction matrix elements via intermediate
-states of different energy. At the lowest contributing order n,
+states of different energy. At order n,
 
     g_eff = sum over n-step paths of (prod V) / (prod (E_i - E_j)),
 
@@ -18,6 +18,11 @@ fixed order, so it reproduces the analytic closed forms exactly. The same
 chain on the sparsity pattern with integer entries counts the paths, and a
 walk over that pattern finds the lowest connecting order. Individual paths
 are listed only on request (:func:`enumerate_paths`).
+
+Unless an order is given, n is the lowest *connecting* order, the fewest
+hops from i to f (:func:`shortest_order`), not the lowest *contributing*
+one: order-n paths that cancel give exactly 0 or a rounding residue such
+as 8e-20, and no higher order is tried (ROADMAP.md, open item 1).
 """
 
 from __future__ import annotations
@@ -296,7 +301,8 @@ def effective_coupling(
     f,
     order: int | None = None,
 ) -> EffectiveCoupling:
-    """Lowest-order path-sum effective coupling between bare states i and f.
+    """Path-sum effective coupling between bare states i and f at ``order``,
+    or at the lowest connecting order, even where its paths cancel.
 
     The value is the resolvent chain <f| V (R V)^(n-1) |i> and the path
     count the same chain on the sparsity pattern, both summed in the fixed
@@ -321,18 +327,6 @@ def effective_coupling(
     n = _order(h_int, i, f, order)
     value, count = _path_sum(h_int, i, f, n)
     return EffectiveCoupling(value=value, order=n, path_count=count, source=(h_int, i, f))
-
-
-def sigma_z_only_paths(
-    space: HilbertSpace, paths: tuple[TransitionPath, ...]
-) -> tuple[TransitionPath, ...]:
-    """Paths whose hops never flip a qubit (purely longitudinal-mediated)."""
-    out = []
-    for p in paths:
-        rows = space.qubit_table[list(p.states)]
-        if np.all(rows == rows[0]):
-            out.append(p)
-    return tuple(out)
 
 
 def stimulated_ratio(h_int: HermitianOperator, n: int) -> float:

@@ -159,7 +159,8 @@ def eigensystem(h: HermitianOperator, rows=()):
 
     This is the only place that chooses how to diagonalize. Up to
     :data:`DENSE_CAP` dense ``eigh`` gives every eigenpair; above it Krylov
-    ``eigsh`` gives the lowest k = max(16, 2 len(rows) + 8). Either way
+    ``eigsh`` gives the lowest k = max(16, 2 len(rows) + 8), from a fixed
+    start vector so that equal inputs give equal bytes. Either way
     :func:`captured_norms` checks the result on ``rows`` before it is
     returned, so a state the eigenvectors do not span raises
     :class:`CapacityError` instead of giving a silently wrong answer.
@@ -177,7 +178,10 @@ def eigensystem(h: HermitianOperator, rows=()):
             raise CapacityError(f"requested {k} eigenpairs of a dimension-{dim} operator")
         m = h.matrix
         a = scipy.sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
-        vals, vecs = scipy.sparse.linalg.eigsh(a, k=k, which="SA")
+        # seeded, so equal operators give equal bytes; random, because a
+        # symmetry can make all ones orthogonal to a wanted eigenvector
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
+        vals, vecs = scipy.sparse.linalg.eigsh(a, k=k, which="SA", v0=v0)
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
     captured_norms(h, vecs, list(rows))
@@ -401,8 +405,9 @@ def _csv_name(state: BasisState) -> str:
     return state.label().replace(",", "_")
 
 
-def write_sweep_csv(result: SweepResult, path) -> None:
-    """Emit ``param,level_<name>...,overlap_<name>...`` at 17 significant digits."""
+def sweep_csv(result: SweepResult) -> str:
+    """``param,level_<name>...,overlap_<name>...`` CSV text at 17 significant
+    digits."""
     names = [_csv_name(s) for s in result.sweep.tracked]
     header = "param," + ",".join(f"level_{n}" for n in names) + "," + ",".join(
         f"overlap_{n}" for n in names
@@ -413,5 +418,4 @@ def write_sweep_csv(result: SweepResult, path) -> None:
         cells += [f"{x:.17g}" for x in result.levels[p]]
         cells += [f"{x:.17g}" for x in result.overlaps[p]]
         lines.append(",".join(cells))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

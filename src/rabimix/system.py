@@ -182,10 +182,6 @@ class SystemSpec:
         )
         return replace(self, couplings=couplings)
 
-    def with_scaled_couplings(self, factor: float) -> "SystemSpec":
-        couplings = tuple(replace(c, strength=c.strength * factor) for c in self.couplings)
-        return replace(self, couplings=couplings)
-
     def with_model(self, model: InteractionModel) -> "SystemSpec":
         return replace(self, model=model)
 

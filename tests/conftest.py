@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from rabimix import (
@@ -39,3 +40,13 @@ def shg_spec():
 
 def state(text: str) -> BasisState:
     return BasisState.parse(text)
+
+
+def sigma_z_only_paths(space, paths):
+    """The paths whose hops never flip a qubit (purely longitudinal-mediated)."""
+    out = []
+    for p in paths:
+        rows = space.qubit_table[list(p.states)]
+        if np.all(rows == rows[0]):
+            out.append(p)
+    return tuple(out)

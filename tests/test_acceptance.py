@@ -48,8 +48,9 @@ from rabimix.catalog import (
 )
 from rabimix.catalog import _closed_form_params
 from rabimix.hamiltonian import build_hint
-from rabimix.perturbation import sigma_z_only_paths
 from rabimix.spectra import subspace_gap
+
+from conftest import sigma_z_only_paths
 
 
 _CAPTURE = None

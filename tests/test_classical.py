@@ -13,7 +13,7 @@ from rabimix import (
     evaluate_polarization,
     polarization_spectrum,
 )
-from rabimix.classical import write_spectrum_csv
+from rabimix.classical import spectrum_csv
 
 
 def as_dict(components):
@@ -57,6 +57,17 @@ def test_amplitude_scaling_orders():
             assert c2[f] == pytest.approx(2**power * c1[f])
 
 
+@pytest.mark.parametrize("frequency", [-2, -2.0, float("nan")])
+def test_tone_rejects_a_negative_frequency_of_any_type(frequency):
+    with pytest.raises(ConfigError, match="tone frequency must be >= 0"):
+        Tone(1.0, frequency)
+
+
+def test_tone_stores_its_frequency_as_a_float():
+    tone = Tone(1.0, 2)
+    assert type(tone.frequency) is float and tone.frequency == 2.0
+
+
 def test_more_than_three_tones_rejected():
     with pytest.raises(ConfigError):
         polarization_spectrum([Tone(1.0, f) for f in (1.0, 2.0, 3.0, 4.0)],
@@ -81,11 +92,9 @@ def test_pointwise_oracle_three_tones():
         )
 
 
-def test_csv_format(tmp_path):
+def test_csv_format():
     comps = polarization_spectrum([Tone(1.0, 1.0)], Susceptibilities(chi2=1.0))
-    p = tmp_path / "spectrum.csv"
-    write_spectrum_csv(comps, p)
-    lines = p.read_text().splitlines()
+    lines = spectrum_csv(comps).splitlines()
     assert lines[0] == "frequency,amplitude"
     assert len(lines) == 3
 

@@ -10,7 +10,13 @@ import warnings
 
 import pytest
 
-from rabimix import DomainError, closed_form_geff, effective_coupling, interaction_for
+from rabimix import (
+    DomainError,
+    InteractionModel,
+    closed_form_geff,
+    effective_coupling,
+    interaction_for,
+)
 from rabimix.catalog import (
     build_system,
     default_frequencies,
@@ -127,3 +133,20 @@ def test_kerr_formula_value():
     assert closed_form_geff(
         "kerr_dispersive", g=g, omega_a=w_a, omega_q=w_q
     ) == pytest.approx(-(g**4) / (w_a - w_q) ** 3, rel=1e-15)
+
+
+def test_hyper_raman_jc_formula_matches_jc_path_sum():
+    """Under JC only the excitation-conserving path of Stokes hyper-Raman
+    survives, and ``hyper_raman_one_jc`` is its value."""
+    entry = get_process("hyper_raman_1_stokes")
+    freqs = default_frequencies(entry)
+    g = 0.05
+    spec = build_system(entry, freqs, coupling=g).with_model(InteractionModel.JC)
+    num = effective_coupling(
+        interaction_for(spec), entry.initial.instantiate(0), entry.final.instantiate(0)
+    ).value
+    ana = closed_form_geff(
+        "hyper_raman_one_jc", omega_a=freqs["a"], omega_b=freqs["b"], omega_q=freqs["q"],
+        g_a=g, g_b=g,
+    )
+    assert num == pytest.approx(ana, rel=1e-10)

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from rabimix import ConfigError, emit_config, parse_config, spectra
-from rabimix.cli import main
+from rabimix import ConfigError, parse_config, spectra
+from rabimix.cli import _emit, main
 from rabimix.config import apply_override
 
 VALID = {
@@ -41,12 +41,15 @@ def test_minimal_config_applies_defaults():
     assert config.section("geff")["initial"].label() == "0,2,g"
 
 
-def test_round_trip_parse_emit_parse():
-    config = parse_config(json.dumps(VALID))
-    text = emit_config(config)
-    again = parse_config(text)
-    assert again.raw == config.raw
-    assert emit_config(again) == text
+def test_emit_replaces_a_file_whole_or_not_at_all(tmp_path, capsys):
+    target = tmp_path / "out.csv"
+    _emit("a,b\n1,2\n", str(target))
+    assert target.read_bytes() == b"a,b\n1,2\n"
+    assert capsys.readouterr().out == f"wrote {target}\n"
+    with pytest.raises(TypeError):
+        _emit(b"not text", str(target))  # fails after the temp file exists
+    assert target.read_bytes() == b"a,b\n1,2\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_all_errors_reported_with_field_paths():

@@ -49,6 +49,16 @@ def test_eigensystem_refuses_an_uncaptured_row(monkeypatch, shg_spec):
         eigensystem(h, [space.index(state("1,2,e"))])
 
 
+def test_eigensystem_krylov_result_is_reproducible(monkeypatch, shg_spec):
+    """ARPACK starts from a fixed vector, so the same operator gives the same
+    eigenpairs to the last bit."""
+    monkeypatch.setattr(spectra, "DENSE_CAP", 32)
+    _, h = operator(shg_spec)
+    first, second = eigensystem(h, []), eigensystem(h, [])
+    assert first[0].tobytes() == second[0].tobytes()
+    assert first[1].tobytes() == second[1].tobytes()
+
+
 @pytest.mark.parametrize("n_rows", [0, 2, 5])
 def test_eigensystem_krylov_size_follows_the_rows(monkeypatch, shg_spec, n_rows):
     monkeypatch.setattr(spectra, "DENSE_CAP", 64)

@@ -59,14 +59,6 @@ def test_bare_energy_matches_hand_sum():
     assert space.bare_energy(g) == pytest.approx(-0.5 * spec.qubits[0].frequency)
 
 
-def test_basis_vector_is_one_hot():
-    space = build_space(make_spec([2]))
-    s = BasisState((1,), ("e",))
-    v = space.basis_vector(s)
-    assert v[space.index(s)] == 1.0
-    assert np.count_nonzero(v) == 1
-
-
 def test_state_parse_and_label_round_trip():
     s = BasisState.parse("1,0,2,g,e")
     assert s.occupations == (1, 0, 2)

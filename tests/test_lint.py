@@ -12,6 +12,10 @@
 - No module imports scipy outside a function body: scipy loads only where
   an eigensolver or root finder runs, so commands that solve nothing start
   without it.
+- No code but ``cli._emit`` opens a file for writing: no other function or
+  module body calls ``open`` with a write mode (or a mode that is not a
+  string literal), ``os.fdopen``, ``write_text`` or ``write_bytes``. Library
+  functions return text, and the one writer makes every output file atomic.
 """
 
 import ast
@@ -125,4 +129,52 @@ def test_scipy_is_imported_only_inside_functions(path):
             offenders += [f"line {node.lineno}: import {a.name}" for a in node.names if is_scipy(a.name)]
         elif isinstance(node, ast.ImportFrom) and is_scipy(node.module):
             offenders.append(f"line {node.lineno}: from {node.module} import ...")
+    assert offenders == []
+
+
+#: The one function allowed to open a file for writing.
+WRITER = ("cli.py", "_emit")
+
+
+def opens_for_writing(call: ast.Call) -> bool:
+    f = call.func
+    name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+    if name in ("fdopen", "write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    # open(file, mode), or path.open(mode)
+    position = 1 if isinstance(f, ast.Name) else 0
+    mode = call.args[position] if len(call.args) > position else next(
+        (k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None:
+        return False
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def write_calls(node: ast.AST, function: str | None = None):
+    """(enclosing function name, line) of every call below ``node`` that
+    opens a file for writing; the name is None at module level."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and opens_for_writing(child):
+            yield function, child.lineno
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from write_calls(child, inner)
+
+
+def test_the_writer_rule_sees_each_way_to_write():
+    source = "\n".join([
+        "open(p, 'w', newline='')", "open(p, mode='a')", "Path(p).open('r+')",
+        "os.fdopen(fd, 'w')", "p.write_text(s)", "p.write_bytes(b)", "open(p, m)",
+        "open(p)", "open(p, 'rb')", "Path(p).open()", "fh.write(s)",
+    ])
+    assert [line for _, line in write_calls(ast.parse(source))] == [1, 2, 3, 4, 5, 6, 7]
+    assert [fn for fn, _ in write_calls(tree(SRC / WRITER[0]))] == [WRITER[1]]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_cli_emit_opens_a_file_for_writing(path):
+    offenders = [f"line {line} in {fn or 'the module body'}"
+                 for fn, line in write_calls(tree(path)) if (path.name, fn) != WRITER]
     assert offenders == []

@@ -1,6 +1,7 @@
 import inspect
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,8 +30,9 @@ from rabimix import (
     stimulated_ratio,
 )
 from rabimix.catalog import get_process, verify_entry
-from rabimix.perturbation import sigma_z_only_paths
 from rabimix.spectra import SweepSpec, find_avoided_crossing
+
+from conftest import sigma_z_only_paths
 
 
 def jc_resonant(g=0.05, n_max=6):
@@ -107,7 +109,8 @@ def test_homogeneity_order_n_in_coupling_strength():
     base = two_photon_spec()
     for lam in (0.5, 2.0):
         h1 = interaction_for(base)
-        h2 = interaction_for(base.with_scaled_couplings(lam))
+        scaled = tuple(replace(c, strength=c.strength * lam) for c in base.couplings)
+        h2 = interaction_for(replace(base, couplings=scaled))
         g1 = effective_coupling(h1, BasisState.parse("0,e"), BasisState.parse("2,g")).value
         g2 = effective_coupling(h2, BasisState.parse("0,e"), BasisState.parse("2,g")).value
         assert g2.real == pytest.approx(lam**2 * g1.real, rel=1e-12)

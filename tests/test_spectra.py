@@ -25,7 +25,7 @@ from rabimix.spectra import (
     bare_resonance_parameter,
     convergence_check,
     subspace_gap,
-    write_sweep_csv,
+    sweep_csv,
 )
 
 
@@ -172,15 +172,13 @@ def test_kerr_numeric_warns_outside_dispersive_regime():
         kerr_shift_numeric(spec)
 
 
-def test_sweep_csv_format(tmp_path):
+def test_sweep_csv_format():
     base = jc_spec()
     i, f = BasisState.parse("1,g"), BasisState.parse("0,e")
     sweep = SweepSpec(base=base, parameter="mode:a", lo=0.9, hi=1.1, points=3,
                       tracked=(i, f))
     res = track_levels(sweep)
-    p = tmp_path / "sweep.csv"
-    write_sweep_csv(res, p)
-    lines = p.read_text().splitlines()
+    lines = sweep_csv(res).splitlines()
     assert lines[0] == "param,level_1_g,level_0_e,overlap_1_g,overlap_0_e"
     assert len(lines) == 4
     assert all(len(line.split(",")) == 5 for line in lines[1:])
