@@ -58,7 +58,6 @@ from .perturbation import (
     enumerate_paths,
     interaction_for,
     shortest_order,
-    stimulated_ratio,
 )
 from .spectra import (
     CrossingReport,
@@ -136,7 +135,6 @@ __all__ = [
     "polarization_spectrum",
     "resolve_resonance",
     "shortest_order",
-    "stimulated_ratio",
     "total_number_operator",
     "track_levels",
     "verify_entry",

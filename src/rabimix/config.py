@@ -12,6 +12,7 @@ carry line and column.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -71,6 +72,8 @@ def _number(positive=False, nonnegative=False):
     def check(v):
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise ConfigError(f"expected a number, got {v!r}")
+        if isinstance(v, float) and not math.isfinite(v):  # JSON's NaN and Infinity
+            raise ConfigError(f"expected a finite number, got {v}")
         if positive and not v > 0:
             raise ConfigError(f"must be > 0, got {v}")
         try:

@@ -15,7 +15,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError
 from .hilbert import HilbertSpace
 from .system import InteractionModel
 
@@ -129,29 +128,17 @@ class HermitianOperator:
         return CSRMatrix(m.indptr, m.indices, np.ones(m.nnz, dtype=np.int64), m.shape)
 
     def with_energies(self, space: HilbertSpace) -> "HermitianOperator":
-        """``build_hamiltonian(space)``, entrywise and in CSR layout, from
-        this ``build_hamiltonian`` result on a space that differs only in
-        frequencies. Hint has no diagonal, so the off-diagonal entries are
-        kept and the diagonal is ``space.energies``; an energy of exactly 0
-        stores no entry, as in canonical form."""
-        rows, cols, vals = self.matrix.triplets()
-        off = rows != cols
+        """H on ``space``: the entries of this H_int plus the bare energies
+        of ``space`` on the diagonal, in canonical CSR layout. H_int stores
+        no diagonal, since every hop shifts a mode by one photon, so the two
+        never share an entry; an energy of exactly 0 stores none. ``space``
+        may differ from ``self.space`` in frequencies only."""
         d = np.arange(self.dimension)
         return HermitianOperator(space, canonical_csr(
-            self.dimension, (rows[off], cols[off], vals[off]), (d, d, space.energies)))
+            self.dimension, self.matrix.triplets(), (d, d, space.energies)))
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.to_dense()
-
-    def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
-        if other.space is not self.space:
-            raise ConfigError("cannot add operators on different Hilbert spaces")
-        return HermitianOperator(self.space, canonical_csr(
-            self.dimension, self.matrix.triplets(), other.matrix.triplets()))
-
-    def scaled(self, factor: float) -> "HermitianOperator":
-        rows, cols, vals = self.matrix.triplets()
-        return HermitianOperator(self.space, canonical_csr(self.dimension, (rows, cols, vals * factor)))
 
 
 def build_h0(space: HilbertSpace) -> HermitianOperator:
@@ -250,8 +237,9 @@ def build_hint(space: HilbertSpace) -> HermitianOperator:
 
 
 def build_hamiltonian(space: HilbertSpace) -> HermitianOperator:
-    """Full Hamiltonian H0 + Hint of the space's system spec."""
-    return build_h0(space) + build_hint(space)
+    """Full Hamiltonian H0 + Hint of the space's system spec: the entries of
+    Hint with the bare energies on the diagonal."""
+    return build_hint(space).with_energies(space)
 
 
 def _product(a: CSRMatrix, b: CSRMatrix):

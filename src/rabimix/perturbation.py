@@ -195,30 +195,27 @@ def _check_blocked(space, pattern, allowed, i, f, n) -> None:
     degenerate = ~allowed
     degenerate[[i, f]] = False
     passable = allowed | degenerate  # every state but i and f
-    # reach[s][j]: from j, some s-hop walk through passable states ends at f;
-    # hits[s][j]: one of them lands on a degenerate intermediate
+    # reach[s][j]: from j, some s-hop walk through passable states ends at f.
+    # No allowed walk reaches f, so every walk from i that reach admits meets
+    # a degenerate state, and following reach from i finds the first one.
     at_f = np.zeros(len(allowed), dtype=bool)
     at_f[f] = True
     reach = [at_f, pattern @ at_f > 0]
-    hits = [np.zeros(len(allowed), dtype=bool)] * 2
     for _ in range(2, n + 1):
-        hits.append(pattern @ ((degenerate & reach[-1]) | (allowed & hits[-1])) > 0)
         reach.append(pattern @ (passable & reach[-1]) > 0)
-    if not hits[n][i]:
+    if not reach[n][i]:
         return
-    j, s = i, n
-    while True:
-        for k in pattern.indices[pattern.indptr[j]: pattern.indptr[j + 1]].tolist():
-            if degenerate[k] and reach[s - 1][k]:
-                raise DegenerateIntermediateError(
-                    f"all order-{n} paths from {space.state(i)} to {space.state(f)} are "
-                    f"blocked by an intermediate degenerate with the initial state: "
-                    f"{space.state(k)} (|E_i - E_j| < {DEGENERACY_TOL})",
-                    state=space.state(k),
-                )
-            if allowed[k] and hits[s - 1][k]:
-                j, s = k, s - 1
-                break
+    k, s = i, n
+    while not degenerate[k]:
+        hops = pattern.indices[pattern.indptr[k]: pattern.indptr[k + 1]].tolist()
+        k = next(x for x in hops if passable[x] and reach[s - 1][x])
+        s -= 1
+    raise DegenerateIntermediateError(
+        f"all order-{n} paths from {space.state(i)} to {space.state(f)} are "
+        f"blocked by an intermediate degenerate with the initial state: "
+        f"{space.state(k)} (|E_i - E_j| < {DEGENERACY_TOL})",
+        state=space.state(k),
+    )
 
 
 def _path_sum(h_int, i, f, n) -> tuple[float, int]:
@@ -327,35 +324,6 @@ def effective_coupling(
     n = _order(h_int, i, f, order)
     value, count = _path_sum(h_int, i, f, n)
     return EffectiveCoupling(value=value, order=n, path_count=count, source=(h_int, i, f))
-
-
-def stimulated_ratio(h_int: HermitianOperator, n: int) -> float:
-    """Rate enhancement of frequency conversion by n spectator photons.
-
-    For a two-mode + one-qubit setup the single photon-adding hop in each
-    path picks up sqrt(n+1), so
-    |g_eff(|1,n,g> -> |0,n+1,e>)| / |g_eff(|1,0,g> -> |0,1,e>)| = sqrt(n+1).
-    n < 0 or another setup (of ``h_int.space``) is a :class:`DomainError`.
-    """
-    space = h_int.space
-    if n < 0:
-        raise DomainError("spectator photon number must be >= 0")
-    if len(space.modes) != 2 or len(space.qubits) != 1:
-        raise DomainError("stimulated_ratio expects a two-mode, one-qubit space")
-    if n + 1 > space.modes[1].n_max:
-        raise CapacityError(
-            f"n_max={space.modes[1].n_max} of mode {space.modes[1].label!r} cannot "
-            f"hold {n + 1} photons"
-        )
-    base_i = BasisState((1, 0), ("g",))
-    base_f = BasisState((0, 1), ("e",))
-    stim_i = BasisState((1, n), ("g",))
-    stim_f = BasisState((0, n + 1), ("e",))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        g0 = effective_coupling(h_int, base_i, base_f).value
-        gn = effective_coupling(h_int, stim_i, stim_f).value
-    return abs(gn) / abs(g0)
 
 
 def diagonal_shift(

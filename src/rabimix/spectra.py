@@ -4,7 +4,7 @@ Level curves are followed by eigenvector overlap (adiabatic continuation)
 rather than by energy order, since diabatic labels cross. The gap at an
 avoided crossing is measured between the two eigenvalues whose eigenvectors
 have the largest weight in the two-dimensional bare subspace of interest.
-Along a sweep H is built once and only its diagonal is rewritten per point;
+Along a sweep H_int is built once and H gets new bare energies per point;
 the gap minimum is the root of its Hellmann-Feynman slope.
 """
 
@@ -132,24 +132,23 @@ def parameter_derivative(space: HilbertSpace, parameter: str) -> CSRMatrix:
 
 
 class SweepHamiltonian:
-    """H along a sweep, built once. :meth:`at` equals
+    """H along a sweep from one H_int. :meth:`at` equals
     ``build_hamiltonian(build_space(sweep.spec_at(v)))`` entrywise and in CSR
-    layout: between builds only the bare energies on the diagonal change
-    (:meth:`HermitianOperator.with_energies`). H is built again only when
-    ``spec_at(v)`` changes the couplings, i.e. at every point of a coupling
-    sweep."""
+    layout, since both are :meth:`HermitianOperator.with_energies` of H_int:
+    between points only the bare energies on the diagonal change. H_int is
+    built again only when ``spec_at(v)`` changes the couplings, i.e. at
+    every point of a coupling sweep."""
 
     def __init__(self, sweep: SweepSpec):
         self.sweep = sweep
         self.space = build_space(sweep.base)
-        self._built = None
+        self._hint = None
 
     def at(self, value: float) -> HermitianOperator:
         space = build_space(self.sweep.spec_at(value))
-        if self._built is None or space.spec.couplings != self._built.space.spec.couplings:
-            self._built = build_hamiltonian(space)
-            return self._built
-        return self._built.with_energies(space)
+        if self._hint is None or space.spec.couplings != self._hint.space.spec.couplings:
+            self._hint = build_hint(space)
+        return self._hint.with_energies(space)
 
 
 def eigensystem(h: HermitianOperator, rows=()):
@@ -298,7 +297,7 @@ def find_avoided_crossing(
     the perturbative prediction 2|g_eff|.
 
     The gap G(v) is the :func:`subspace_gap` of ``level_a`` and ``level_b``
-    on H(v), with H built once (:class:`SweepHamiltonian`). A scan over the
+    on H(v), with H_int built once (:class:`SweepHamiltonian`). A scan over the
     sweep grid finds the grid minimum v_k (at an edge of the grid it raises
     :class:`BracketingError`). The minimum is then the root of the slope,
     which Hellmann-Feynman gives from the two eigenvectors the gap already

@@ -163,3 +163,13 @@ def test_verify_entry_builds_the_interaction_once_under_the_required_model(monke
                         lambda spec: calls.append(spec.model) or original(spec))
     assert verify_entry(e).passed
     assert calls == [e.required_model, *weaker_models(e.required_model)]
+
+
+@pytest.mark.parametrize("pid", ["kerr_dispersive", "shg_2r1q", "thg_1r3q"])
+def test_verify_compares_every_closed_form_by_one_rule(pid):
+    """The Kerr check reads its number from the fourth-order shift and every
+    other closed form from the path sum; both use one relative error."""
+    r = verify_entry(get_process(pid))
+    num, ana = r.g_eff, r.closed_form_value
+    scale = max(abs(num), abs(ana))
+    assert r.relative_error == (0.0 if scale < 1e-14 else abs(num - ana) / scale)

@@ -276,6 +276,9 @@ WITH_ALL_SECTIONS = {
     ("evolve.targets", 5, "evolve.targets"),
     ("spectrum.tracked", [1, 2], "spectrum.tracked[0]"),
     ("system.qubits", [{"label": "q", "frequency": 10**400}], "system.qubits[0].frequency"),
+    # json.loads accepts NaN and Infinity; every numeric field rejects them
+    ("system.couplings.0.strength", math.nan, "system.couplings[0].strength"),
+    ("system.modes.1.frequency", math.inf, "system.modes[1].frequency"),
 ])
 def test_malformed_shapes_are_config_errors(tmp_path, capsys, path, value, field_path):
     payload = json.loads(json.dumps(WITH_ALL_SECTIONS))
@@ -353,3 +356,12 @@ def test_commands_that_solve_nothing_never_load_scipy(tmp_path):
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_set_nan_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, VALID)
+    assert main(["geff", "-c", cfg, "--set", "system.couplings.0.mixing_angle=NaN"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error: system.couplings[0].mixing_angle: expected a finite number, got nan\n")

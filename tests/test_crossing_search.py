@@ -214,8 +214,8 @@ def test_zero_slope_at_the_grid_minimum_returns_it(monkeypatch):
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Calls of spectra's eigensystem and build_hamiltonian."""
-    n = {"eigensystem": 0, "build_hamiltonian": 0}
+    """Calls of spectra's eigensystem and build_hint."""
+    n = {"eigensystem": 0, "build_hint": 0}
     for name in n:
         original = getattr(spectra, name)
 
@@ -230,11 +230,11 @@ def counts(monkeypatch):
 def test_fig3_crossing_work_counts(counts):
     sweep, i, f = fig3()
     find_avoided_crossing(sweep, i, f)
-    assert counts["build_hamiltonian"] == 1
+    assert counts["build_hint"] == 1
     assert sweep.points <= counts["eigensystem"] <= 31
 
 
 def test_track_levels_builds_once_per_frequency_sweep(counts):
     sweep, _, _ = fig3()
     track_levels(sweep)
-    assert counts == {"eigensystem": sweep.points, "build_hamiltonian": 1}
+    assert counts == {"eigensystem": sweep.points, "build_hint": 1}

@@ -18,7 +18,6 @@ from rabimix import (
     diagonal_shift,
     interaction_for,
     kerr_shift_numeric,
-    stimulated_ratio,
 )
 
 
@@ -31,24 +30,6 @@ def resonant_spec(n_modes=1, n_max=6):
         couplings=tuple(CouplingSpec(m, "q", 0.05) for m in labels),
         model=InteractionModel.JC,
     )
-
-
-def test_stimulated_ratio_negative_photon_number_is_a_domain_error(shg_spec):
-    hint = interaction_for(shg_spec)
-    with pytest.raises(DomainError, match="spectator photon number must be >= 0"):
-        stimulated_ratio(hint, -1)
-
-
-def test_stimulated_ratio_wrong_setup_is_a_domain_error(jc_spec):
-    hint = interaction_for(jc_spec)
-    with pytest.raises(DomainError, match="two-mode, one-qubit"):
-        stimulated_ratio(hint, 1)
-
-
-def test_stimulated_ratio_short_ladder_stays_a_capacity_error(shg_spec):
-    hint = interaction_for(shg_spec)
-    with pytest.raises(CapacityError, match="cannot hold 7 photons"):
-        stimulated_ratio(hint, 6)
 
 
 def test_diagonal_shift_unsupported_order_is_a_domain_error(jc_spec):

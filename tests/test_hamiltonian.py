@@ -20,6 +20,8 @@ from rabimix import (
     parity_operator,
     total_number_operator,
 )
+from rabimix.catalog import CATALOG, build_system, default_frequencies
+from rabimix.hamiltonian import canonical_csr
 
 
 def make_spec(model, theta=0.0, n_max=4, g=0.1, w_a=1.0, w_q=0.9):
@@ -129,15 +131,6 @@ def test_truncation_cutoff_is_hard():
         assert space.state(k).occupations[0] == n_max - 1
 
 
-def test_operator_add_and_scale():
-    space = build_space(make_spec(InteractionModel.JC))
-    h0 = build_h0(space)
-    hint = hint_for(space)
-    total = h0 + hint
-    assert np.array_equal(total.to_dense(), h0.to_dense() + hint.to_dense())
-    assert np.array_equal(hint.scaled(2.0).to_dense(), 2.0 * hint.to_dense())
-
-
 def test_two_modes_two_qubits_cross_terms():
     spec = SystemSpec(
         modes=(ModeSpec("a", 1.0, 2), ModeSpec("b", 1.4, 2)),
@@ -219,3 +212,19 @@ def test_hint_exactly_symmetric_with_repeated_couplings():
     # <1,0,e,g|H|0,0,g,g>: a^dag sigma+ on qubit q, with the three strengths summed
     gx = sum(g * math.cos(t) for g, t in ((0.1, 0.3), (0.07, 1.1), (0.03, -0.4)))
     assert h.element(BasisState.parse("1,0,e,g"), BasisState.parse("0,0,g,g")).real == pytest.approx(gx, rel=1e-15)
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.id)
+def test_h_is_the_canonical_sum_of_h0_and_hint(entry):
+    """build_hamiltonian, which adds the bare energies to H_int's entries,
+    gives the arrays of the canonical sum of H0 and H_int on every catalog
+    system under every model: H_int stores no diagonal entry."""
+    spec = build_system(entry, default_frequencies(entry))
+    for model in InteractionModel:
+        space = build_space(spec.with_model(model))
+        h, hint = build_hamiltonian(space).matrix, build_hint(space)
+        assert not np.any(hint.matrix.rows == hint.matrix.indices), model
+        ref = canonical_csr(space.dimension, build_h0(space).matrix.triplets(), hint.matrix.triplets())
+        for name in ("indptr", "indices", "data"):
+            x, y = getattr(h, name), getattr(ref, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), (model, name)

@@ -16,6 +16,9 @@
   module body calls ``open`` with a write mode (or a mode that is not a
   string literal), ``os.fdopen``, ``write_text`` or ``write_bytes``. Library
   functions return text, and the one writer makes every output file atomic.
+- No module but ``hamiltonian`` constructs a ``HermitianOperator`` or calls
+  ``canonical_csr``: H is assembled one way, and every operator's arrays
+  are in the canonical form that module owns.
 """
 
 import ast
@@ -136,9 +139,14 @@ def test_scipy_is_imported_only_inside_functions(path):
 WRITER = ("cli.py", "_emit")
 
 
+def called_name(call: ast.Call) -> str | None:
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
 def opens_for_writing(call: ast.Call) -> bool:
     f = call.func
-    name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+    name = called_name(call)
     if name in ("fdopen", "write_text", "write_bytes"):
         return True
     if name != "open":
@@ -178,3 +186,17 @@ def test_only_cli_emit_opens_a_file_for_writing(path):
     offenders = [f"line {line} in {fn or 'the module body'}"
                  for fn, line in write_calls(tree(path)) if (path.name, fn) != WRITER]
     assert offenders == []
+
+
+#: The one module that assembles operators.
+ASSEMBLER = "hamiltonian.py"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_hamiltonian_assembles_operators(path):
+    calls = [f"line {n.lineno}: {called_name(n)}" for n in ast.walk(tree(path))
+             if isinstance(n, ast.Call) and called_name(n) in ("HermitianOperator", "canonical_csr")]
+    if path.name == ASSEMBLER:
+        assert calls  # the rule sees the calls it allows
+    else:
+        assert calls == []
