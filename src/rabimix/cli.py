@@ -177,8 +177,8 @@ def cmd_verify(args) -> int:
     ids = list(dict.fromkeys(ids))  # each process once, in order of first mention
     if not ids:
         raise ConfigError(
-            "nothing to verify: give --process, --all-closed-forms or a "
-            "'verify' config section"
+            "nothing to verify: give --process, --all-closed-forms or a 'verify' "
+            "config section with 'processes' or 'all_closed_forms': true"
         )
     entries = [cat.get_process(pid) for pid in ids]
 
@@ -192,8 +192,7 @@ def cmd_verify(args) -> int:
             lines.append(f"PASS {report.entry_id}{detail}")
         else:
             failures += 1
-            reason = "; ".join(report.messages) or "check failed"
-            lines.append(f"FAIL {report.entry_id}: {reason}")
+            lines.append(f"FAIL {report.entry_id}: {'; '.join(report.messages)}")
     lines.append(f"verified {len(reports)} processes, {failures} failures")
     _emit("\n".join(lines) + "\n", args.output)
     return 1 if failures else 0

@@ -241,15 +241,12 @@ def section_defaults(name: str) -> dict:
     return _walk(SCHEMA[name], {}, name, [])
 
 
-def _cross_field_errors(name: str, sec: dict | None, raw_sec) -> list:
+def _cross_field_errors(name: str, sec: dict | None) -> list:
     """Rules that relate two fields of one section."""
     if sec is None:
         return []
     if name == "spectrum" and None not in (sec["lo"], sec["hi"]) and not sec["lo"] < sec["hi"]:
         return [f"spectrum.lo: must satisfy lo < hi, got [{sec['lo']}, {sec['hi']}]"]
-    # read raw, so that an invalid value is reported once, by its own check
-    if name == "verify" and raw_sec.get("processes") is None and not raw_sec.get("all_closed_forms"):
-        return ["verify: give either 'processes' or 'all_closed_forms': true"]
     return []
 
 
@@ -313,7 +310,7 @@ def parse_config(text: str, overrides=()) -> RunConfig:
     for name in SCHEMA:
         if name != "system" and name in raw:
             sections[name] = _walk(SCHEMA[name], raw[name], name, section_errs)
-            section_errs += _cross_field_errors(name, sections[name], raw[name])
+            section_errs += _cross_field_errors(name, sections[name])
 
     # a system section is required for the computational commands but not for
     # purely tabular ones (catalog, classical)

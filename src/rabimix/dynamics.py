@@ -102,8 +102,8 @@ def evolve(space: HilbertSpace, h: HermitianOperator, spec: EvolutionSpec) -> Po
     return PopulationTrace(spec, times, populations, norms, energies)
 
 
-def extract_oscillation(trace: PopulationTrace, target: BasisState | None = None):
-    """Dominant angular frequency and maximum of a population trace.
+def extract_oscillation(trace: PopulationTrace):
+    """Dominant angular frequency and maximum of the first target's population.
 
     The frequency comes from the largest peak of the discrete spectrum of
     P(t) after mean removal, refined by parabolic interpolation of the three
@@ -111,8 +111,7 @@ def extract_oscillation(trace: PopulationTrace, target: BasisState | None = None
     parabola-refined around the best sample. A trace flat within
     :data:`FLAT_TOL` raises :class:`FlatTraceError`.
     """
-    if target is None:
-        target = trace.spec.targets[0]
+    target = trace.spec.targets[0]
     p = trace.population(target)
     if np.ptp(p) < FLAT_TOL:
         raise FlatTraceError(

@@ -51,10 +51,6 @@ class BasisState:
                     raise ConfigError(f"bad basis-state component {p!r} in {text!r}") from None
         return cls(tuple(occ), tuple(qs))
 
-    @property
-    def excitations(self) -> int:
-        return sum(self.occupations) + sum(1 for s in self.qubit_states if s == EXCITED)
-
     def label(self) -> str:
         return ",".join([str(n) for n in self.occupations] + list(self.qubit_states))
 
@@ -134,8 +130,7 @@ class HilbertSpace:
         return i
 
     def state(self, i: int) -> BasisState:
-        if not 0 <= i < self.dimension:
-            raise DomainError(f"basis index {i} outside [0, {self.dimension})")
+        i = self.index(i)
         occ = tuple(int(n) for n in self.occupation_table[i])
         qs = tuple(EXCITED if b else GROUND for b in self.qubit_table[i])
         return BasisState(occ, qs)
@@ -145,16 +140,10 @@ class HilbertSpace:
         return float(self.energies[self.index(state)])
 
     def mode_index(self, label: str) -> int:
-        for k, m in enumerate(self.modes):
-            if m.label == label:
-                return k
-        raise ConfigError(f"unknown mode label {label!r}")
+        return self.modes.index(self.spec.mode(label))
 
     def qubit_index(self, label: str) -> int:
-        for k, q in enumerate(self.qubits):
-            if q.label == label:
-                return k
-        raise ConfigError(f"unknown qubit label {label!r}")
+        return self.qubits.index(self.spec.qubit(label))
 
     def __repr__(self):
         return (

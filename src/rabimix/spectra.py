@@ -79,13 +79,6 @@ class SweepResult:
     overlaps: np.ndarray  # shape (points, n_tracked), against the bare target
     ambiguous: np.ndarray  # bool, shape (points, n_tracked)
 
-    def level(self, state: BasisState) -> np.ndarray:
-        k = self.sweep.tracked.index(state)
-        return self.levels[:, k]
-
-    def gap(self, a: BasisState, b: BasisState) -> np.ndarray:
-        return np.abs(self.level(a) - self.level(b))
-
 
 @dataclass(frozen=True)
 class CrossingReport:

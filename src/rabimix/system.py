@@ -160,17 +160,13 @@ class SystemSpec:
         raise ConfigError(f"unknown qubit label {label!r}")
 
     def with_mode_frequency(self, label: str, frequency: float) -> "SystemSpec":
-        modes = tuple(
-            replace(m, frequency=frequency) if m.label == label else m for m in self.modes
-        )
-        self.mode(label)
+        mode = self.mode(label)
+        modes = tuple(replace(m, frequency=frequency) if m is mode else m for m in self.modes)
         return replace(self, modes=modes)
 
     def with_qubit_frequency(self, label: str, frequency: float) -> "SystemSpec":
-        qubits = tuple(
-            replace(q, frequency=frequency) if q.label == label else q for q in self.qubits
-        )
-        self.qubit(label)
+        qubit = self.qubit(label)
+        qubits = tuple(replace(q, frequency=frequency) if q is qubit else q for q in self.qubits)
         return replace(self, qubits=qubits)
 
     def with_coupling_strength(self, mode_label: str, strength: float) -> "SystemSpec":

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from rabimix import ConfigError, parse_config, spectra
+from rabimix import ConfigError, closed_forms, get_process, parse_config, spectra
 from rabimix.cli import _emit, main
 from rabimix.config import apply_override
 
@@ -252,6 +253,37 @@ def test_cli_verify_selected_processes(capsys):
 
 def test_cli_verify_requires_targets(capsys):
     assert main(["verify"]) == 2
+
+
+def test_cli_verify_fail_line_names_the_closed_form_miss(monkeypatch, capsys):
+    """A path sum that misses its closed form by a relative 1e-8 fails with a
+    message that gives both values and the relative error."""
+    name = get_process("shg_2r1q").closed_form
+    formula = closed_forms.REGISTRY[name]
+
+    @functools.wraps(formula)  # keeps the signature the parameters are bound by
+    def scaled(**params):
+        return formula(**params) * (1 + 1e-8)
+
+    monkeypatch.setitem(closed_forms.REGISTRY, name, scaled)
+    assert main(["verify", "--process", "shg_2r1q"]) == 1
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("FAIL shg_2r1q: path sum ")
+    assert " differs from closed form " in line
+    assert line.endswith(" (relative error 1e-08 >= 1e-10)")
+
+
+def test_cli_verify_section_that_names_nothing(tmp_path, capsys):
+    """A 'verify' section at its defaults is valid: --process supplies the
+    ids, and without one the command itself reports that nothing is named."""
+    cfg = write_config(tmp_path, {"verify": {}})
+    assert main(["verify", "-c", cfg, "--process", "shg_1r1q"]) == 0
+    assert capsys.readouterr().out.startswith("PASS shg_1r1q")
+    assert main(["verify", "-c", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "config error: nothing to verify: give --process, --all-closed-forms or a "
+        "'verify' config section with 'processes' or 'all_closed_forms': true\n"
+    )
 
 
 def test_env_override_applies(tmp_path, monkeypatch, capsys):

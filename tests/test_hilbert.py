@@ -67,11 +67,6 @@ def test_state_parse_and_label_round_trip():
     assert BasisState.parse(s.label()) == s
 
 
-def test_excitations_counts_photons_and_qubit_flips():
-    assert BasisState.parse("2,1,e").excitations == 4
-    assert BasisState.parse("0,g").excitations == 0
-
-
 def test_parse_rejects_garbage():
     from rabimix import RabimixError
 
@@ -118,6 +113,28 @@ def test_coupling_to_unknown_labels_rejected():
             couplings=(CouplingSpec("a", "z", 0.1),),
             model=InteractionModel.JC,
         )
+
+
+def test_label_and_index_lookups_share_one_check():
+    """The space finds modes and qubits through the spec's lookup, and a
+    basis index through ``index``: each raises the owner's error."""
+    from rabimix import DomainError
+
+    spec = make_spec([2, 3], n_qubits=2)
+    space = build_space(spec)
+    assert [space.mode_index(m) for m in ("a", "b")] == [0, 1]
+    assert [space.qubit_index(q) for q in ("q1", "q2")] == [0, 1]
+    for lookup in (space.mode_index, spec.mode, lambda x: spec.with_mode_frequency(x, 2.0)):
+        with pytest.raises(ConfigError, match="unknown mode label 'q1'"):
+            lookup("q1")
+    for lookup in (space.qubit_index, spec.qubit, lambda x: spec.with_qubit_frequency(x, 2.0)):
+        with pytest.raises(ConfigError, match="unknown qubit label 'a'"):
+            lookup("a")
+    assert spec.with_qubit_frequency("q2", 2.0).qubits[1].frequency == 2.0
+    assert space.state(space.dimension - 1) == BasisState.parse("2,3,e,e")
+    for i in (-1, space.dimension):
+        with pytest.raises(DomainError, match=rf"basis index {i} outside \[0, 48\)"):
+            space.state(i)
 
 
 def test_system_spec_parses_its_model_on_construction():

@@ -19,6 +19,9 @@
 - No module but ``hamiltonian`` constructs a ``HermitianOperator`` or calls
   ``canonical_csr``: H is assembled one way, and every operator's arrays
   are in the canonical form that module owns.
+- No module but ``system`` compares a ``.label`` attribute: a mode or qubit
+  is found by its label in one place, ``SystemSpec.mode`` and ``.qubit``,
+  which also own the "unknown label" error.
 """
 
 import ast
@@ -200,3 +203,23 @@ def test_only_hamiltonian_assembles_operators(path):
         assert calls  # the rule sees the calls it allows
     else:
         assert calls == []
+
+
+#: The one module that finds a mode or qubit by its label.
+LABEL_OWNER = "system.py"
+
+
+def label_comparisons(module: ast.Module):
+    for n in ast.walk(module):
+        if isinstance(n, ast.Compare) and any(
+                isinstance(x, ast.Attribute) and x.attr == "label" for x in [n.left, *n.comparators]):
+            yield f"line {n.lineno}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_system_compares_labels(path):
+    compares = list(label_comparisons(tree(path)))
+    if path.name == LABEL_OWNER:
+        assert compares  # the rule sees the comparisons it allows
+    else:
+        assert compares == []

@@ -126,6 +126,31 @@ def test_chain_equals_brute_force_path_sum(case):
     assert [p.states for p in r.paths] == states
 
 
+def test_blocked_walk_names_the_first_degenerate_hop():
+    """Both order-2 walks |2,g,g> -> |0,e,e> pass a state degenerate with
+    |2,g,g>: |1,e,g> (index 5) and |1,g,e> (index 9). The error names the
+    first in depth-first order, hops taken in ascending index; a walk that
+    took the last passable hop would name |1,g,e>."""
+    spec = SystemSpec(
+        modes=(ModeSpec("a", 0.5, 3),),
+        qubits=(QubitSpec("q1", 0.5), QubitSpec("q2", 0.5)),
+        couplings=(CouplingSpec("a", "q1", 0.05, 0.0), CouplingSpec("a", "q2", 0.05, 0.0)),
+        model=InteractionModel.JC,
+    )
+    hint = interaction_for(spec)
+    space = hint.space
+    i, f = BasisState.parse("2,g,g"), BasisState.parse("0,e,e")
+    first, last = BasisState.parse("1,e,g"), BasisState.parse("1,g,e")
+    assert (space.index(first), space.index(last)) == (5, 9)
+    assert space.bare_energy(first) == space.bare_energy(last) == space.bare_energy(i)
+    states, _, blocked = brute_force_paths(space, hint, space.index(i), space.index(f), 2)
+    assert states == [] and blocked == 5
+    for walk in (effective_coupling, enumerate_paths):
+        with pytest.raises(DegenerateIntermediateError) as err:
+            walk(hint, i, f, order=2)
+        assert err.value.state == first, walk.__name__
+
+
 def test_chain_count_is_orientation_free_with_many_equal_qubits():
     """Six equal qubits: the count i -> f equals the count f -> i and the
     brute-force count (the longitudinal terms cancel exactly, leaving no
