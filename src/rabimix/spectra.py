@@ -150,9 +150,14 @@ def eigensystem(h: HermitianOperator, rows=()):
     ``h.space``) whose eigenvector rows the caller reads.
 
     This is the only place that chooses how to diagonalize. Up to
-    :data:`DENSE_CAP` dense ``eigh`` gives every eigenpair; above it Krylov
-    ``eigsh`` gives the lowest k = max(16, 2 len(rows) + 8), from a fixed
-    start vector so that equal inputs give equal bytes. Either way
+    :data:`DENSE_CAP` dense ``eigh`` runs on each symmetry sector of H that
+    holds one of ``rows`` (every sector for none): excitation number N for
+    JC, its parity for Rabi, as :func:`_sector_labels` reads them from H's
+    entries. Only those sectors' eigenpairs are returned, each eigenvector
+    exactly 0 outside its sector. Generalized Rabi is one sector and gets
+    ``eigh(h.to_dense())`` itself. Above it Krylov ``eigsh`` gives the lowest
+    k = max(16, 2 len(rows) + 8) of the whole space, from a fixed start
+    vector so that equal inputs give equal bytes. Either way
     :func:`captured_norms` checks the result on ``rows`` before it is
     returned, so a state the eigenvectors do not span raises
     :class:`CapacityError` instead of giving a silently wrong answer.
@@ -161,7 +166,19 @@ def eigensystem(h: HermitianOperator, rows=()):
     if dim <= DENSE_CAP:
         import scipy.linalg  # deferred here and below: commands that solve nothing skip scipy
 
-        vals, vecs = scipy.linalg.eigh(h.to_dense())
+        dense = h.to_dense()
+        label = _sector_labels(h)
+        if not label.any():  # one sector, the whole space: eigh as it is
+            vals, vecs = scipy.linalg.eigh(dense)
+        else:
+            wanted = np.unique(label[list(rows)] if len(rows) else label)
+            sectors = [np.flatnonzero(label == s) for s in wanted]
+            solved = [scipy.linalg.eigh(dense[np.ix_(idx, idx)]) for idx in sectors]
+            vals = np.concatenate([w for w, _ in solved])
+            vecs = np.zeros((dim, len(vals)))
+            vecs[np.concatenate(sectors)] = scipy.linalg.block_diag(*(x for _, x in solved))
+            order = np.argsort(vals, kind="stable")
+            vals, vecs = vals[order], vecs[:, order]
     else:
         import scipy.sparse.linalg
 
@@ -178,6 +195,19 @@ def eigensystem(h: HermitianOperator, rows=()):
         vals, vecs = vals[order], vecs[:, order]
     captured_norms(h, vecs, list(rows))
     return vals, vecs
+
+
+def _sector_labels(h: HermitianOperator) -> np.ndarray:
+    """Sector of each basis state: its excitation number N if no entry of H
+    changes N (JC), else N mod 2 if none changes the parity (Rabi), else 0
+    (generalized Rabi: one sector). Read from H's entries, so no entry ever
+    joins two sectors."""
+    n = h.space.excitation_numbers
+    m = h.matrix
+    for label in (n, n % 2):
+        if np.array_equal(label[m.rows], label[m.indices]):
+            return label
+    return np.zeros_like(n)
 
 
 def captured_norms(h: HermitianOperator, vecs: np.ndarray, indices) -> np.ndarray:
