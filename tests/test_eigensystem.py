@@ -86,6 +86,16 @@ def test_eigensystem_dense_result_does_not_depend_on_rows_and_is_certified(monke
     assert checked == [rows, []]
 
 
+@pytest.mark.parametrize("model", list(InteractionModel))
+def test_eigensystem_reproduces_the_diagonal_entry_of_a_requested_row(shg_spec, model):
+    """sum_j V[i, j]^2 lambda_j is <i|H|i>, the energy an evolution from |i>
+    conserves."""
+    space, h = operator(shg_spec.with_model(model))
+    i = space.index(state("0,2,g"))
+    vals, vecs = eigensystem(h, [i])
+    assert abs(vecs[i] ** 2 @ vals - h.to_dense()[i, i]) < 1e-12
+
+
 class RowLog(np.ndarray):
     """Eigenvectors that note each row read by an integer or list index.
     Views of them (``.T``, products, slices) note nothing."""

@@ -9,7 +9,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rabimix import (
@@ -99,11 +99,28 @@ def small_cases(draw):
     return spec, i, f, draw(st.integers(1, 5))
 
 
+#: A subnormal mixing angle makes every contribution subnormal, with only a
+#: few significant bits: the chain and the brute-force sum then differ by
+#: about half a subnormal step per path, far above 1e-12 of their size.
+SUBNORMAL_ANGLE_CASE = (
+    SystemSpec(
+        modes=(ModeSpec("m0", 2.0, 2),),
+        qubits=(QubitSpec("q0", 1.0), QubitSpec("q1", 0.5)),
+        couplings=(CouplingSpec("m0", "q0", 0.05, 2.2250738585072014e-308),
+                   CouplingSpec("m0", "q1", 0.05, 2.2250738585072014e-308)),
+        model=InteractionModel.GENERALIZED_RABI,
+    ),
+    0, 1, 3,
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_cases())
+@example(SUBNORMAL_ANGLE_CASE)
 def test_chain_equals_brute_force_path_sum(case):
-    """Value to 1e-12 of the sum of |contributions|, equal path counts, the
-    same paths in the same order, and the same degenerate-intermediate error."""
+    """Value to 1e-12 of the sum of |contributions|, plus four subnormal
+    steps per path, equal path counts, the same paths in the same order, and
+    the same degenerate-intermediate error."""
     spec, i, f, n = case
     hint = interaction_for(spec)
     space = hint.space
@@ -122,7 +139,8 @@ def test_chain_equals_brute_force_path_sum(case):
     assert r.order == n
     assert r.path_count == len(states)
     scale = sum(abs(c) for c in contributions)
-    assert abs(r.value - sum(contributions)) <= 1e-12 * scale
+    floor = 4 * len(states) * math.ulp(0.0)
+    assert abs(r.value - sum(contributions)) <= 1e-12 * scale + floor
     assert [p.states for p in r.paths] == states
 
 

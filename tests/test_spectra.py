@@ -23,7 +23,6 @@ from rabimix import (
 from rabimix import spectra
 from rabimix.spectra import (
     bare_resonance_parameter,
-    convergence_check,
     subspace_gap,
     sweep_csv,
 )
@@ -143,19 +142,6 @@ def test_crossing_outside_window_raises():
 def test_subspace_gap_positive_at_resonance():
     gap = subspace_gap(jc_spec(0.05), BasisState.parse("1,g"), BasisState.parse("0,e"))
     assert gap == pytest.approx(0.1, rel=1e-10)
-
-
-def test_convergence_check_flags_converged_observable():
-    spec = jc_spec(0.05, n_max=6)
-
-    def lowest_eigenvalue(s):
-        space = build_space(s)
-        vals, _ = eigensystem(build_hamiltonian(space))
-        return vals[0]
-
-    nmaxes, values, changes = convergence_check(spec, lowest_eigenvalue)
-    assert nmaxes[0] == (6,) and nmaxes[-1] == (10,)
-    assert all(c < 1e-12 for c in changes)
 
 
 def test_kerr_numeric_matches_formula_in_dispersive_regime():

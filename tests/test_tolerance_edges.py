@@ -85,7 +85,7 @@ def test_flat_tol_edge(monkeypatch):
     times = np.linspace(0.0, 100.0, 256)
     p = 0.5 + 0.25 * np.sin(0.7 * times)
     spec = EvolutionSpec(state("0,e"), 100.0, 256, (target,))
-    trace = PopulationTrace(spec, times, {target: p}, np.ones(256), np.zeros(256))
+    trace = PopulationTrace(spec, times, {target: p}, np.ones(256))
     x = np.ptp(p)
 
     monkeypatch.setattr(dynamics, "FLAT_TOL", x)
