@@ -89,8 +89,8 @@ def polarization_spectrum(tones, chi: Susceptibilities):
     amplitudes cancel to exactly zero are removed; frequencies within
     :data:`MERGE_TOL` are merged first.
     """
-    if len(tones) > 3:
-        raise ConfigError(f"at most 3 tones supported, got {len(tones)}")
+    if not 1 <= len(tones) <= 3:
+        raise ConfigError(f"1 to 3 tones supported, got {len(tones)}")
     base = _exp_spectrum(tones)
     total = {}
 

@@ -18,16 +18,17 @@ import contextlib
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 from . import catalog as cat
-from .classical import Susceptibilities, Tone, polarization_spectrum, spectrum_csv
+from .classical import spectrum_csv
 from .config import RunConfig, parse_config, section_defaults
-from .dynamics import EvolutionSpec, evolve, extract_oscillation, trace_csv
+from .dynamics import evolve, extract_oscillation, trace_csv
 from .errors import CapacityError, ConfigError, FlatTraceError, RabimixError
 from .hamiltonian import build_hamiltonian
 from .hilbert import build_space
 from .perturbation import PATH_CAP, effective_coupling, interaction_for
-from .spectra import SweepSpec, sweep_csv, track_levels
+from .spectra import sweep_csv, track_levels
 
 ENV_PREFIX = "RABIMIX_"
 
@@ -35,13 +36,8 @@ ENV_PREFIX = "RABIMIX_"
 def _env_overrides():
     out = []
     for key, value in sorted(os.environ.items()):
-        if not key.startswith(ENV_PREFIX):
-            continue
-        rest = key[len(ENV_PREFIX):]
-        # RABIMIX_THREADS once set --threads; it is not a config path
-        if rest.upper() == "THREADS":
-            continue
-        out.append(rest.replace("__", ".") + "=" + value)
+        if key.startswith(ENV_PREFIX):
+            out.append(key[len(ENV_PREFIX):].replace("__", ".") + "=" + value)
     return out
 
 
@@ -111,34 +107,22 @@ def cmd_geff(args) -> int:
 def cmd_spectrum(args) -> int:
     config = _load_config(args)
     sec = config.section("spectrum")
-    models = sec["models"] or [config.system.model]
+    sweep = sec["sweep"]
+    models = sec["models"] or [sweep.base.model]
     stem = args.output or sec["output"]
     for model in models:
-        sweep = SweepSpec(
-            base=config.system.with_model(model),
-            parameter=sec["parameter"],
-            lo=sec["lo"],
-            hi=sec["hi"],
-            points=sec["points"],
-            tracked=tuple(sec["tracked"]),
-        )
         path = f"{stem}_{model.value}.csv" if len(models) > 1 else f"{stem}.csv"
-        _emit(sweep_csv(track_levels(sweep)), path)
+        model_sweep = replace(sweep, base=sweep.base.with_model(model))
+        _emit(sweep_csv(track_levels(model_sweep)), path)
     return 0
 
 
 def cmd_evolve(args) -> int:
     config = _load_config(args)
     sec = config.section("evolve")
-    spec = EvolutionSpec(
-        initial=sec["initial"],
-        total_time=sec["total_time"],
-        samples=sec["samples"],
-        targets=tuple(sec["targets"]),
-    )
     space = build_space(config.system)
     h = build_hamiltonian(space)
-    trace = evolve(space, h, spec)
+    trace = evolve(space, h, sec["evolution"])
     _emit(trace_csv(trace), args.output or sec["output"])
     try:
         freq, pmax = extract_oscillation(trace)
@@ -161,11 +145,7 @@ def cmd_catalog(args) -> int:
 def cmd_classical(args) -> int:
     config = _load_config(args)
     sec = config.section("classical")
-    tones = [Tone(t["amplitude"], t["frequency"]) for t in sec["tones"]]
-    chi = Susceptibilities(
-        chi1=sec["chi1"], chi2=sec["chi2"], chi3=sec["chi3"], epsilon0=sec["epsilon0"]
-    )
-    _emit(spectrum_csv(polarization_spectrum(tones, chi)), args.output or sec["output"])
+    _emit(spectrum_csv(sec["components"]), args.output or sec["output"])
     return 0
 
 
@@ -214,9 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="override a config value (repeatable)",
         )
         p.add_argument("--output", "-o", help="output file (default depends on command)")
-        p.add_argument(
-            "--threads", type=int, help="accepted for compatibility; has no effect",
-        )
         p.set_defaults(fn=fn)
         return p
 

@@ -1,23 +1,30 @@
 """Run-configuration parsing and validation.
 
 Configs are JSON documents with a ``system`` section (modes, qubits,
-couplings, interaction model) and one optional section per command. Every
-field's checks, whether it is required and its default are declared once,
-in :data:`SCHEMA`; one walker derives the allowed keys, the error messages
-with their field paths and the filled-in defaults from it. Parsing reports
-every violation with its field path, not just the first; syntax errors
-carry line and column.
+couplings, interaction model) and one optional section per command. Each
+field's shape and type, whether it is required and its default are declared
+once, in :data:`SCHEMA`; one walker derives the allowed keys, the error
+messages with their field paths and the filled-in defaults from it. Range
+rules belong to the objects the fields build (``ModeSpec``, ``SweepSpec``,
+``EvolutionSpec``, ``Tone``, ``polarization_spectrum``...): parsing builds
+them, and reports each message of their ``ConfigError`` under the path of
+the section or item that built it. Parsing reports every violation, not just
+the first; syntax errors carry line and column.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Any
 
+from .classical import Susceptibilities, Tone, polarization_spectrum
+from .dynamics import EvolutionSpec
 from .errors import ConfigError, RabimixError
 from .hilbert import BasisState
+from .spectra import SweepSpec
 from .system import (
     CouplingSpec,
     InteractionModel,
@@ -30,8 +37,11 @@ from .system import (
 
 @dataclass
 class RunConfig:
-    """Validated configuration: the system plus per-command sections, each
-    with every field of its :data:`SCHEMA` entry, defaults filled in."""
+    """Validated configuration: the built system plus per-command sections.
+    A section holds its :data:`SCHEMA` fields, defaults filled in, except
+    that ``spectrum``, ``evolve`` and ``classical`` hold the objects their
+    commands run: ``sweep`` (its base is the system), ``evolution`` and
+    ``components``, next to ``models`` and ``output``."""
 
     system: SystemSpec | None
     sections: dict = field(default_factory=dict)
@@ -68,23 +78,15 @@ def _integer(minimum=None):
     return check
 
 
-def _number(positive=False, nonnegative=False):
-    def check(v):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ConfigError(f"expected a number, got {v!r}")
-        if isinstance(v, float) and not math.isfinite(v):  # JSON's NaN and Infinity
-            raise ConfigError(f"expected a finite number, got {v}")
-        if positive and not v > 0:
-            raise ConfigError(f"must be > 0, got {v}")
-        try:
-            x = float(v)
-        except OverflowError:
-            raise ConfigError("number out of range") from None
-        if nonnegative and x < 0:
-            raise ConfigError(f"must be >= 0, got {x}")
-        return x
-
-    return check
+def _number(v):
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise ConfigError(f"expected a number, got {v!r}")
+    if isinstance(v, float) and not math.isfinite(v):  # JSON's NaN and Infinity
+        raise ConfigError(f"expected a finite number, got {v}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ConfigError("number out of range") from None
 
 
 def _state(v):
@@ -120,18 +122,10 @@ def _opt(node, default=None) -> _Field:
 
 @dataclass(frozen=True)
 class _List:
-    """A JSON list of ``item`` nodes with a length range."""
+    """A JSON list of ``item`` nodes."""
 
     item: Any
     what: str
-    min_len: int = 0
-    max_len: int | None = None
-
-    @property
-    def message(self) -> str:
-        if self.min_len > 1:
-            return f"expected a list of at least {self.min_len} {self.what}"
-        return f"expected a {'non-empty ' if self.min_len else ''}list of {self.what}"
 
 
 #: section -> field -> :class:`_Field`; objects are dicts, lists are
@@ -141,18 +135,18 @@ SCHEMA = {
     "system": {
         "modes": _opt(_List({
             "label": _Field(_string),
-            "frequency": _Field(_number(positive=True)),
-            "n_max": _opt(_integer(minimum=1)),  # default set from the sections' states
+            "frequency": _Field(_number),
+            "n_max": _opt(_integer()),  # default set from the sections' states
         }, "modes"), ()),
         "qubits": _opt(_List({
             "label": _Field(_string),
-            "frequency": _Field(_number(positive=True)),
+            "frequency": _Field(_number),
         }, "qubits"), ()),
         "couplings": _opt(_List({
             "mode": _Field(_string),
             "qubit": _Field(_string),
-            "strength": _Field(_number()),
-            "mixing_angle": _opt(_number(), 0.0),
+            "strength": _Field(_number),
+            "mixing_angle": _opt(_number, 0.0),
         }, "couplings"), ()),
         "model": _opt(InteractionModel.parse, InteractionModel.RABI),
     },
@@ -163,18 +157,18 @@ SCHEMA = {
     },
     "spectrum": {
         "parameter": _Field(_string),
-        "lo": _Field(_number()),
-        "hi": _Field(_number()),
-        "points": _Field(_integer(minimum=3)),
-        "tracked": _Field(_List(_state, "states", min_len=2)),
+        "lo": _Field(_number),
+        "hi": _Field(_number),
+        "points": _Field(_integer()),
+        "tracked": _Field(_List(_state, "states")),
         "models": _opt(_List(InteractionModel.parse, "model names")),
         "output": _opt(_string, "spectrum"),
     },
     "evolve": {
         "initial": _Field(_state),
-        "total_time": _Field(_number(positive=True)),
-        "samples": _Field(_integer(minimum=16)),
-        "targets": _Field(_List(_state, "states", min_len=1)),
+        "total_time": _Field(_number),
+        "samples": _Field(_integer()),
+        "targets": _Field(_List(_state, "states")),
         "output": _opt(_string, "trace.csv"),
     },
     "catalog": {
@@ -186,13 +180,13 @@ SCHEMA = {
     },
     "classical": {
         "tones": _Field(_List({
-            "amplitude": _Field(_number()),
-            "frequency": _Field(_number(nonnegative=True)),
-        }, "tones", min_len=1, max_len=3)),
-        "chi1": _opt(_number(), 0.0),
-        "chi2": _opt(_number(), 0.0),
-        "chi3": _opt(_number(), 0.0),
-        "epsilon0": _opt(_number(), 1.0),
+            "amplitude": _Field(_number),
+            "frequency": _Field(_number),
+        }, "tones")),
+        "chi1": _opt(_number, 0.0),
+        "chi2": _opt(_number, 0.0),
+        "chi3": _opt(_number, 0.0),
+        "epsilon0": _opt(_number, 1.0),
         "output": _opt(_string),
     },
     "verify": {
@@ -218,16 +212,13 @@ def _walk(node, value, path: str, errs: list):
             if key in value:
                 v = _walk(f.node, value[key], f"{path}.{key}", errs)
             elif f.required:
-                missing = f.node.message if isinstance(f.node, _List) else "missing required field"
-                errs.append(f"{path}.{key}: {missing}")
+                errs.append(f"{path}.{key}: missing required field")
             out[key] = f.default if v is None else v
         return out
     if isinstance(node, _List):
-        if not isinstance(value, list) or len(value) < node.min_len:
-            errs.append(f"{path}: {node.message}")
+        if not isinstance(value, list):
+            errs.append(f"{path}: expected a list of {node.what}")
             return None
-        if node.max_len is not None and len(value) > node.max_len:
-            errs.append(f"{path}: at most {node.max_len} {node.what} supported, got {len(value)}")
         return [_walk(node.item, x, f"{path}[{k}]", errs) for k, x in enumerate(value)]
     try:
         return node(value)
@@ -241,19 +232,11 @@ def section_defaults(name: str) -> dict:
     return _walk(SCHEMA[name], {}, name, [])
 
 
-def _cross_field_errors(name: str, sec: dict | None) -> list:
-    """Rules that relate two fields of one section."""
-    if sec is None:
-        return []
-    if name == "spectrum" and None not in (sec["lo"], sec["hi"]) and not sec["lo"] < sec["hi"]:
-        return [f"spectrum.lo: must satisfy lo < hi, got [{sec['lo']}, {sec['hi']}]"]
-    return []
-
-
-def _referenced_occupations(sections: dict) -> dict:
-    """Largest occupation per mode position over every state the sections name."""
+def _referenced_occupations(sections) -> dict:
+    """Largest occupation per mode position over every state the walked
+    sections name."""
     occ = {}
-    for sec in sections.values():
+    for sec in sections:
         for value in (sec or {}).values():
             for state in value if isinstance(value, list) else [value]:
                 if isinstance(state, BasisState):
@@ -262,30 +245,60 @@ def _referenced_occupations(sections: dict) -> dict:
     return occ
 
 
+def _build(path: str, errs: list, make, *args):
+    """``make(*args)``, or None if an argument is None (the walk has reported
+    it) or ``make`` raises a ConfigError, whose messages go to ``errs`` under
+    ``path``."""
+    if None in args:
+        return None
+    try:
+        return make(*args)
+    except ConfigError as e:
+        errs.extend(f"{path}: {m}" for m in e.messages)
+        return None
+
+
 def _build_system(sec: dict, occupations: dict, errs: list) -> SystemSpec | None:
     """SystemSpec from a walked system section, built item by item so that a
-    spec's own error keeps its field path. None if any error is known."""
+    spec's own error names its item. None if any error is known."""
     for k, mode in enumerate(sec["modes"]):
         if mode is not None and mode["n_max"] is None:
             mode["n_max"] = default_n_max(occupations.get(k, 1))
     parts = []
     for key, make in (("modes", ModeSpec), ("qubits", QubitSpec), ("couplings", CouplingSpec)):
-        specs = []
-        for k, item in enumerate(sec[key]):
-            if item is None or None in item.values():
-                continue  # the walk has reported it
-            try:
-                specs.append(make(*item.values()))
-            except ConfigError as e:
-                errs.append(f"system.{key}[{k}]: {e}")
-        parts.append(tuple(specs))
+        parts.append([_build(f"system.{key}[{k}]", errs, make, *item.values())
+                      for k, item in enumerate(sec[key]) if item is not None])
     if errs:
         return None
-    try:
-        return SystemSpec(*parts, sec["model"])
-    except ConfigError as e:
-        errs.extend(f"system: {m}" for m in e.messages)
-        return None
+    return _build("system", errs, SystemSpec, *parts, sec["model"])
+
+
+def _build_spectrum(sec: dict, system, errs: list) -> dict:
+    # SweepSpec does not check its base, so its rules run even if the system failed
+    sweep = _build("spectrum", errs, functools.partial(SweepSpec, system), sec["parameter"],
+                   sec["lo"], sec["hi"], sec["points"], sec["tracked"])
+    return {"sweep": sweep, "models": sec["models"], "output": sec["output"]}
+
+
+def _build_evolve(sec: dict, system, errs: list) -> dict:
+    evolution = _build("evolve", errs, EvolutionSpec, sec["initial"], sec["total_time"],
+                       sec["samples"], sec["targets"])
+    return {"evolution": evolution, "output": sec["output"]}
+
+
+def _build_classical(sec: dict, system, errs: list) -> dict:
+    tones = [_build(f"classical.tones[{k}]", errs, Tone, *t.values()) if t is not None else None
+             for k, t in enumerate(sec["tones"] or ())]
+    chi = Susceptibilities(sec["chi1"], sec["chi2"], sec["chi3"], sec["epsilon0"])
+    # the spectrum needs every tone; a missing list or tone has been reported
+    components = None
+    if sec["tones"] is not None and None not in tones:
+        components = _build("classical", errs, polarization_spectrum, tones, chi)
+    return {"components": components, "output": sec["output"]}
+
+
+#: Sections whose walked fields become the objects their command runs.
+_BUILDERS = {"spectrum": _build_spectrum, "evolve": _build_evolve, "classical": _build_classical}
 
 
 def parse_config(text: str, overrides=()) -> RunConfig:
@@ -304,13 +317,13 @@ def parse_config(text: str, overrides=()) -> RunConfig:
 
     errs = [f"{k}: unknown section (allowed: {list(SCHEMA)})" for k in raw if k not in SCHEMA]
     # The command sections are walked first, because the states they name set
-    # the default n_max, but their errors are reported after the system's.
-    section_errs = []
-    sections = {}
+    # the default n_max, and built after the system, which a sweep varies.
+    # Their errors are reported after the system's, each section's together.
+    walked = {}
     for name in SCHEMA:
         if name != "system" and name in raw:
-            sections[name] = _walk(SCHEMA[name], raw[name], name, section_errs)
-            section_errs += _cross_field_errors(name, sections[name])
+            section_errs = []
+            walked[name] = (_walk(SCHEMA[name], raw[name], name, section_errs), section_errs)
 
     # a system section is required for the computational commands but not for
     # purely tabular ones (catalog, classical)
@@ -318,10 +331,16 @@ def parse_config(text: str, overrides=()) -> RunConfig:
     if "system" in raw:
         sec = _walk(SCHEMA["system"], raw["system"], "system", errs)
         if sec is not None:
-            system = _build_system(sec, _referenced_occupations(sections), errs)
+            occupations = _referenced_occupations(w for w, _ in walked.values())
+            system = _build_system(sec, occupations, errs)
     elif any(k in raw for k in ("geff", "spectrum", "evolve")):
         errs.append("system: missing required section")
-    errs += section_errs
+
+    sections = {}
+    for name, (sec, section_errs) in walked.items():
+        build = _BUILDERS.get(name)
+        sections[name] = sec if build is None or sec is None else build(sec, system, section_errs)
+        errs += section_errs
     if errs:
         raise ConfigError(errs)
     return RunConfig(system=system, sections=sections)

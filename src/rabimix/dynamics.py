@@ -64,12 +64,12 @@ class EvolutionSpec:
 
 @dataclass
 class PopulationTrace:
-    """Sampled populations |<f|psi(t)>|^2 plus the norm of the state."""
+    """Sampled populations |<f|psi(t)>|^2 plus the state's norm, constant in time."""
 
     spec: EvolutionSpec
     times: np.ndarray
     populations: dict  # BasisState -> array over times
-    norms: np.ndarray
+    norm: float
 
     def population(self, target: BasisState) -> np.ndarray:
         return self.populations[target]
@@ -95,8 +95,8 @@ def evolve(space: HilbertSpace, h: HermitianOperator, spec: EvolutionSpec) -> Po
         amp = (outer * (vecs[space.index(f)] * psi0)) @ inner.T
         populations[f] = np.abs(amp.ravel()[:n]) ** 2
     # ||psi0|| summed pairwise as captured_norms sums it, not by a BLAS dot
-    norms = np.full(n, np.sqrt(np.add.reduce(psi0 * psi0)))
-    return PopulationTrace(spec, times, populations, norms)
+    norm = float(np.sqrt(np.add.reduce(psi0 * psi0)))
+    return PopulationTrace(spec, times, populations, norm)
 
 
 def extract_oscillation(trace: PopulationTrace):
@@ -146,6 +146,7 @@ def trace_csv(trace: PopulationTrace) -> str:
     """``t,P_f,norm`` CSV text for the first target, one row per sample at
     17 significant digits."""
     target = trace.spec.targets[0]
-    rows = zip(trace.times.tolist(), trace.population(target).tolist(), trace.norms.tolist())
-    lines = ["t,P_f,norm", *map("%.17g,%.17g,%.17g".__mod__, rows)]
+    rows = zip(trace.times.tolist(), trace.population(target).tolist())
+    norm = "%.17g" % trace.norm  # a float's digits hold no "%"
+    lines = ["t,P_f,norm", *map(f"%.17g,%.17g,{norm}".__mod__, rows)]
     return "\n".join(lines) + "\n"

@@ -74,6 +74,12 @@ def test_more_than_three_tones_rejected():
                               Susceptibilities(chi1=1.0))
 
 
+def test_no_tone_rejected():
+    """An empty drive is an error, not an empty spectrum."""
+    with pytest.raises(ConfigError, match="1 to 3 tones supported, got 0"):
+        polarization_spectrum([], Susceptibilities(chi1=1.0))
+
+
 def test_pockels_and_kerr_effective_susceptibility():
     chi = Susceptibilities(chi2=0.5, chi3=2.0)
     assert effective_linear_susceptibility("pockels", chi, 3.0) == pytest.approx(3.0)

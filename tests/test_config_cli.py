@@ -66,7 +66,7 @@ def test_all_errors_reported_with_field_paths():
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(bad))
     joined = "\n".join(err.value.messages)
-    assert "system.modes[0].frequency" in joined
+    assert "system.modes[0]: mode 'a': frequency must be > 0, got -1.0" in err.value.messages
     assert "system.qubits[0].frequency" in joined
     assert "system.extra" in joined
     assert "geff.final" in joined
@@ -165,7 +165,7 @@ def test_cli_spectrum_writes_model_variants(tmp_path):
         assert len(lines) == 6
 
 
-def test_cli_spectrum_deterministic_across_threads(tmp_path):
+def test_cli_spectrum_two_runs_in_one_process_give_equal_bytes(tmp_path):
     payload = json.loads(json.dumps(VALID))
     payload["spectrum"] = {
         "parameter": "mode:a", "lo": 1.9, "hi": 2.1, "points": 5,
@@ -173,10 +173,10 @@ def test_cli_spectrum_deterministic_across_threads(tmp_path):
         "output": str(tmp_path / "s1"),
     }
     cfg = write_config(tmp_path, payload)
-    assert main(["spectrum", "-c", cfg, "--threads", "1"]) == 0
+    assert main(["spectrum", "-c", cfg]) == 0
     payload["spectrum"]["output"] = str(tmp_path / "s2")
     cfg = write_config(tmp_path, payload, "config2.json")
-    assert main(["spectrum", "-c", cfg, "--threads", "4"]) == 0
+    assert main(["spectrum", "-c", cfg]) == 0
     for model in ("jc", "rabi"):
         a = (tmp_path / f"s1_{model}.csv").read_bytes()
         b = (tmp_path / f"s2_{model}.csv").read_bytes()
@@ -397,3 +397,75 @@ def test_set_nan_is_a_config_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (
         "config error: system.couplings[0].mixing_angle: expected a finite number, got nan\n")
+
+
+EVERY_SECTION = {
+    **WITH_ALL_SECTIONS,
+    "classical": {"tones": [{"amplitude": 1.0, "frequency": 1.0}], "chi2": 1.0},
+}
+THREE_TONES = [{"amplitude": 1.0, "frequency": f} for f in (0.5, 1.0, 1.5)]
+
+
+#: Each range rule at its edge: the override that passes, the one that fails,
+#: and the failing message, which the object that owns the rule writes.
+RANGE_RULES = [
+    ("system.modes.0.frequency", 5e-324, 0,
+     "system.modes[0]: mode 'a': frequency must be > 0, got 0.0"),
+    ("system.modes.0.n_max", 1, 0, "system.modes[0]: mode 'a': n_max must be >= 1, got 0"),
+    ("system.qubits.0.frequency", 5e-324, 0,
+     "system.qubits[0]: qubit 'q': frequency must be > 0, got 0.0"),
+    ("spectrum.lo", math.nextafter(2.1, 0), 2.1,
+     "spectrum: sweep range must satisfy lo < hi, got [2.1, 2.1]"),
+    ("spectrum.points", 3, 2, "spectrum: sweep needs at least 3 points, got 2"),
+    ("spectrum.tracked", ["0,2,g", "1,0,g"], ["0,2,g"],
+     "spectrum: sweep must track at least 2 bare states"),
+    ("evolve.total_time", 5e-324, 0, "evolve: total time must be > 0, got 0.0"),
+    ("evolve.samples", 16, 15, "evolve: need at least 16 samples, got 15"),
+    ("evolve.targets", ["1,0,g"], [], "evolve: at least one target state is required"),
+    ("classical.tones", THREE_TONES[:1], [], "classical: 1 to 3 tones supported, got 0"),
+    ("classical.tones", THREE_TONES, THREE_TONES + [{"amplitude": 1.0, "frequency": 2.0}],
+     "classical: 1 to 3 tones supported, got 4"),
+    ("classical.tones.0.frequency", 0, -1,
+     "classical.tones[0]: tone frequency must be >= 0, got -1.0"),
+]
+
+
+@pytest.mark.parametrize("path, passes, fails, message", RANGE_RULES, ids=[
+    f"{p}={len(f)} items" if isinstance(f, list) else f"{p}={f}" for p, _, f, _ in RANGE_RULES])
+def test_range_rule_edges_reported_by_their_owner(tmp_path, capsys, path, passes, fails, message):
+    payload = json.loads(json.dumps(EVERY_SECTION))
+    apply_override(payload, f"{path}={json.dumps(passes)}")
+    parse_config(json.dumps(payload))
+    apply_override(payload, f"{path}={json.dumps(fails)}")
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(payload))
+    assert err.value.messages == [message]
+    assert main(["geff", "-c", write_config(tmp_path, payload)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_violations_in_every_section_listed_once_in_one_run(tmp_path, capsys):
+    """The spectrum's own rules run although the system failed: a sweep does
+    not check its base. Each section's shape errors come before its range
+    errors, and the system's before every section's."""
+    payload = json.loads(json.dumps(EVERY_SECTION))
+    for assignment in ("system.modes.1.frequency=-2", "system.qubits.0.frequency=oops",
+                       "spectrum.points=2", "spectrum.hi=1.9", "spectrum.output=5",
+                       "evolve.samples=8", "evolve.total_time=-1",
+                       "classical.tones.0.frequency=-1"):
+        apply_override(payload, assignment)
+    expected = [
+        "system.qubits[0].frequency: expected a number, got 'oops'",
+        "system.modes[1]: mode 'b': frequency must be > 0, got -2.0",
+        "spectrum.output: expected a string, got 5",
+        "spectrum: sweep range must satisfy lo < hi, got [1.9, 1.9]",
+        "spectrum: sweep needs at least 3 points, got 2",
+        "evolve: total time must be > 0, got -1.0",
+        "evolve: need at least 16 samples, got 8",
+        "classical.tones[0]: tone frequency must be >= 0, got -1.0",
+    ]
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(payload))
+    assert err.value.messages == expected
+    assert main(["spectrum", "-c", write_config(tmp_path, payload)]) == 2
+    assert capsys.readouterr().err == "".join(f"config error: {m}\n" for m in expected)

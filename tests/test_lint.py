@@ -22,6 +22,10 @@
 - No module but ``system`` compares a ``.label`` attribute: a mode or qubit
   is found by its label in one place, ``SystemSpec.mode`` and ``.qubit``,
   which also own the "unknown label" error.
+- ``cli`` names no spec (``SystemSpec``, ``ModeSpec``, ``QubitSpec``,
+  ``CouplingSpec``, ``SweepSpec``, ``EvolutionSpec``, ``Tone``,
+  ``Susceptibilities``), so it cannot construct one: ``parse_config`` builds
+  each once, and every range rule of a spec runs at parse time.
 """
 
 import ast
@@ -223,3 +227,20 @@ def test_only_system_compares_labels(path):
         assert compares  # the rule sees the comparisons it allows
     else:
         assert compares == []
+
+
+#: The objects that ``config.parse_config`` builds for the commands.
+SPECS = {"SystemSpec", "ModeSpec", "QubitSpec", "CouplingSpec", "SweepSpec", "EvolutionSpec",
+         "Tone", "Susceptibilities"}
+
+
+def spec_names(module: ast.Module) -> set:
+    """The spec names that ``module`` refers to, called or passed on."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(module)
+            if isinstance(n, ast.Name) and n.id in SPECS
+            or isinstance(n, ast.Attribute) and n.attr in SPECS}
+
+
+def test_cli_constructs_no_spec():
+    assert spec_names(tree(SRC / "config.py")) == SPECS  # the rule sees the builder's names
+    assert spec_names(tree(SRC / "cli.py")) == set()
